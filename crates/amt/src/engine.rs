@@ -43,6 +43,28 @@ fn reference_loop_from_env() -> bool {
     std::env::var(REFERENCE_LOOP_ENV).is_ok_and(|v| v == "1")
 }
 
+/// Removes the reserved terminal records (§V-B) from `data`, returning
+/// the rest in input order and how many were removed. The datapath
+/// delimits runs with the terminal value, so it never sees one.
+pub(crate) fn strip_terminals<R: Record>(mut data: Vec<R>) -> (Vec<R>, usize) {
+    let before = data.len();
+    data.retain(|r| !r.is_terminal());
+    let terminals = before - data.len();
+    (data, terminals)
+}
+
+/// Puts `terminals` terminal records in front of `sorted`. The terminal
+/// compares strictly less than every other record, so the result is
+/// sorted and, with [`strip_terminals`], a permutation of the input.
+pub(crate) fn prepend_terminals<R: Record>(sorted: Vec<R>, terminals: usize) -> Vec<R> {
+    if terminals == 0 {
+        return sorted;
+    }
+    let mut out = vec![R::TERMINAL; terminals];
+    out.extend(sorted);
+    out
+}
+
 impl SimEngine {
     /// Creates an engine from its configuration, rejecting invalid ones
     /// with the structured `BONxxx` diagnostics of
@@ -131,9 +153,10 @@ impl SimEngine {
 
     /// Sorts `data`, returning the sorted records and the timing report.
     ///
-    /// Input records are [`Record::sanitize`]d first (the reserved
-    /// terminal value is remapped), exactly as the hardware contract
-    /// requires (§V-B).
+    /// Records equal to the reserved terminal value (§V-B) bypass the
+    /// datapath and come back at the front of the output, so the output
+    /// is always a sorted permutation of `data`. The report's
+    /// `n_records` counts them; the passes do not.
     ///
     /// # Panics
     ///
@@ -190,7 +213,7 @@ impl SimEngine {
         self.sort_with(data, |engine, runs, fan_in, stage| {
             crate::shard::run_pass_sharded(
                 &engine.config,
-                &runs,
+                runs,
                 fan_in,
                 stage,
                 workers,
@@ -202,102 +225,21 @@ impl SimEngine {
         })
     }
 
-    /// Sorts `data` with the cross-pass pipelined group-DAG scheduler:
-    /// `(pass, group)` merge tasks run on `workers` threads (`0` = one
-    /// per core) as soon as their child groups have drained, instead of
-    /// waiting at a per-pass barrier (see [`crate::dag`]).
-    ///
-    /// The sorted output and the [`SortReport`] are bit-identical to
-    /// [`SimEngine::sort_sharded`] at every worker count; only the
-    /// observability-only `pipeline_overlap_cycles` counter differs
-    /// (it reports the virtual-makespan cycles the DAG saved, always
-    /// `0` under the barrier scheduler).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pass exceeds the livelock cycle bound; use
-    /// [`SimEngine::try_sort_pipelined`] for the structured error.
-    pub fn sort_pipelined<R: Record>(
-        &mut self,
-        data: Vec<R>,
-        workers: usize,
-    ) -> (Vec<R>, SortReport) {
-        match self.try_sort_pipelined(data, workers) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible [`SimEngine::sort_pipelined`]: livelocked groups surface
-    /// as `BON040` [`SortError`]s. The minimum failing `(pass, group)`
-    /// task wins error reporting — the same error the barrier scheduler
-    /// returns — independent of worker count and completion order.
+    /// Kept for source compatibility with existing callers; forwards
+    /// to [`SimEngine::try_sort_sharded`].
+    #[deprecated(note = "use `try_sort_sharded`")]
+    #[doc(hidden)]
     pub fn try_sort_pipelined<R: Record>(
         &mut self,
         data: Vec<R>,
         workers: usize,
     ) -> Result<(Vec<R>, SortReport), SortError> {
-        #[cfg(feature = "sanitize")]
-        self.diagnostics.clear();
-        crate::dag::sort_pipelined::<R, bonsai_mc::facade::StdSync>(
-            &self.config,
-            data,
-            workers,
-            self.max_pass_cycles,
-            self.reference_loop,
-            #[cfg(feature = "sanitize")]
-            &mut self.diagnostics,
-        )
+        self.try_sort_sharded(data, workers)
     }
 
-    /// Sorts a batch of equally-sized inputs as one pipelined forest
-    /// DAG (see the `crate::dag` module docs): each job's
-    /// output and [`SortReport`] are bit-identical to sorting it alone
-    /// under the barrier scheduler, and the second return value is the
-    /// batch-level `pipeline_overlap_cycles` — the virtual-makespan
-    /// cycles the forest saved over running the jobs back to back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pass exceeds the livelock cycle bound or the jobs
-    /// presort into differing run counts; use
-    /// [`SimEngine::try_sort_batch_pipelined`] for the structured
-    /// livelock error.
-    pub fn sort_batch_pipelined<R: Record>(
-        &mut self,
-        datasets: Vec<Vec<R>>,
-        workers: usize,
-    ) -> crate::dag::BatchSorted<R> {
-        match self.try_sort_batch_pipelined(datasets, workers) {
-            Ok(out) => out,
-            Err(err) => panic!("{err}"),
-        }
-    }
-
-    /// Fallible [`SimEngine::sort_batch_pipelined`]: livelocked groups
-    /// surface as `BON040` [`SortError`]s, the minimum failing
-    /// `(pass, slot)` task winning — so the reported error is the first
-    /// failing job's barrier-scheduler error.
-    pub fn try_sort_batch_pipelined<R: Record>(
-        &mut self,
-        datasets: Vec<Vec<R>>,
-        workers: usize,
-    ) -> Result<crate::dag::BatchSorted<R>, SortError> {
-        #[cfg(feature = "sanitize")]
-        self.diagnostics.clear();
-        crate::dag::sort_batch_pipelined::<R, bonsai_mc::facade::StdSync>(
-            &self.config,
-            datasets,
-            workers,
-            self.max_pass_cycles,
-            self.reference_loop,
-            #[cfg(feature = "sanitize")]
-            &mut self.diagnostics,
-        )
-    }
-
-    /// The shared sort skeleton: presort, then run the balanced fan-in
-    /// schedule with `run_pass` executing each stage.
+    /// The shared sort skeleton: strip the reserved terminal records,
+    /// presort, run the balanced fan-in schedule with `run_pass`
+    /// executing each stage, then put the terminals back in front.
     fn sort_with<R: Record>(
         &mut self,
         data: Vec<R>,
@@ -312,12 +254,12 @@ impl SimEngine {
         self.diagnostics.clear();
         let n_records = data.len() as u64;
         let record_bytes = self.config.loader.record_bytes;
-        let sanitized: Vec<R> = data.into_iter().map(Record::sanitize).collect();
+        let (payload, terminals) = strip_terminals(data);
 
         // Presort into `initial_run_len`-record runs. In hardware this is
         // pipelined with the first merge stage (§VI-C1), so it costs no
         // extra cycles; it just shortens the stage count.
-        let mut runs = RunSet::from_chunks(sanitized, self.config.initial_run_len());
+        let mut runs = RunSet::from_chunks(payload, self.config.initial_run_len());
 
         let mut passes = Vec::new();
         // Balanced power-of-two fan-ins per stage (see `schedule`).
@@ -331,7 +273,7 @@ impl SimEngine {
         }
         debug_assert!(runs.num_runs() <= 1, "schedule must fully sort");
         let report = SortReport::from_passes(passes, n_records, record_bytes);
-        Ok((runs.into_records(), report))
+        Ok((prepend_terminals(runs.into_records(), terminals), report))
     }
 
     /// Executes one merge stage: merges every group of `fan_in ≤ ℓ` runs
@@ -431,15 +373,17 @@ mod tests {
 
     #[test]
     fn sorts_input_containing_terminal_values() {
-        // Zeros are the reserved terminal: sanitize maps them to 1.
+        // Zeros are the reserved terminal: they bypass the datapath and
+        // come back unchanged, in front.
         let data: Vec<U32Rec> = [0u32, 5, 0, 3, 0, 1]
             .iter()
             .map(|&v| U32Rec::new(v))
             .collect();
         let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(2, 4), 4).without_presort();
-        let (out, _) = SimEngine::new(cfg).sort(data);
+        let (out, report) = SimEngine::new(cfg).sort(data);
         let vals: Vec<u32> = out.iter().map(|r| r.0).collect();
-        assert_eq!(vals, vec![1, 1, 1, 1, 3, 5]);
+        assert_eq!(vals, vec![0, 0, 0, 1, 3, 5]);
+        assert_eq!(report.n_records, 6);
     }
 
     #[test]

@@ -41,7 +41,6 @@
 
 mod cache;
 mod config;
-pub mod dag;
 mod engine;
 mod error;
 pub mod functional;
@@ -57,10 +56,10 @@ mod unrolled;
 
 pub use cache::{CompiledShape, ShapeCache};
 pub use config::{AmtConfig, SimEngineConfig};
-pub use dag::{BatchSorted, PassPlan, SortPlan, VIRTUAL_WORKERS};
 pub use engine::{SimEngine, REFERENCE_LOOP_ENV};
 pub use error::SortError;
 pub use loser_tree::{loser_tree_merge, LoserTree};
 pub use report::{PassReport, SortReport};
+pub use shard::VIRTUAL_WORKERS;
 pub use tree::{MergeTree, TreeStats};
 pub use unrolled::{UnrolledReport, UnrolledSim};

@@ -36,7 +36,7 @@ pub struct PassReport {
     /// of the per-group cycle costs, never from wall-clock threads, so
     /// it is bit-identical at every real worker count.
     ///
-    /// [`VIRTUAL_WORKERS`]: crate::dag::VIRTUAL_WORKERS
+    /// [`VIRTUAL_WORKERS`]: crate::shard::VIRTUAL_WORKERS
     pub busy_worker_cycles: u64,
     /// Simulated cycles virtual workers sat idle while this pass ran
     /// under the per-pass-barrier schedule (pass makespan ×
@@ -44,7 +44,7 @@ pub struct PassReport {
     /// path. Observability only, like [`busy_worker_cycles`].
     ///
     /// [`busy_worker_cycles`]: PassReport::busy_worker_cycles
-    /// [`VIRTUAL_WORKERS`]: crate::dag::VIRTUAL_WORKERS
+    /// [`VIRTUAL_WORKERS`]: crate::shard::VIRTUAL_WORKERS
     pub idle_worker_cycles: u64,
 }
 
@@ -78,14 +78,6 @@ pub struct SortReport {
     /// Total simulated cycles the fast-forward scheduler skipped instead
     /// of ticking (see [`PassReport::fast_forwarded_cycles`]).
     pub fast_forwarded_cycles: u64,
-    /// Virtual-makespan cycles the cross-pass pipelined group-DAG
-    /// scheduler saved versus the per-pass-barrier schedule on the
-    /// [`VIRTUAL_WORKERS`](crate::dag::VIRTUAL_WORKERS) reference pool:
-    /// barrier makespan − DAG makespan. Always `0` under the barrier
-    /// scheduler and on the fused path. Observability only (excluded
-    /// from cross-scheduler equivalence comparisons), and deterministic:
-    /// derived from per-group simulated cycles, not wall clock.
-    pub pipeline_overlap_cycles: u64,
     /// How many times the adaptive runtime served this job's engine
     /// from its compiled-shape cache (skipping config validation and
     /// plan lowering). `0` everywhere outside the adaptive scheduler.
@@ -114,7 +106,6 @@ impl SortReport {
             record_bytes,
             freq_hz: DEFAULT_FREQ_HZ,
             fast_forwarded_cycles,
-            pipeline_overlap_cycles: 0,
             shape_cache_hits: 0,
             shape_cache_misses: 0,
         }

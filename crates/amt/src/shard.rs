@@ -37,8 +37,33 @@ use crate::error::SortError;
 use crate::passsim::PassSim;
 use crate::report::PassReport;
 
+/// Size of the fixed *virtual* worker pool the per-pass utilization
+/// counters ([`PassReport::busy_worker_cycles`] and
+/// [`PassReport::idle_worker_cycles`]) are computed against, matching
+/// the 8-core reference host of the runtime lints. A deterministic list
+/// schedule of per-group simulated cycles over this pool — never wall
+/// clock — feeds those counters, so they are bit-identical at every
+/// real worker count and on both simulation loops.
+pub const VIRTUAL_WORKERS: usize = 8;
+
+/// List-schedules one pass's groups (in group order) on the virtual
+/// pool, each group going to the earliest-free worker. Returns
+/// `(makespan, busy)` in simulated cycles.
+fn pass_virtual_schedule(group_cycles: &[u64]) -> (u64, u64) {
+    let mut free = [0u64; VIRTUAL_WORKERS];
+    let mut busy = 0u64;
+    for &c in group_cycles {
+        let earliest = (0..VIRTUAL_WORKERS)
+            .min_by_key(|&w| free[w])
+            .expect("the pool is not empty");
+        free[earliest] += c;
+        busy += c;
+    }
+    (free.into_iter().max().unwrap_or(0), busy)
+}
+
 /// Resolves the worker knob: `0` means one worker per available core.
-pub(crate) fn resolve_workers(workers: usize) -> usize {
+fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -69,24 +94,22 @@ pub fn steal_groups(next: &AtomicUsize, groups: usize, mut claim: impl FnMut(usi
 }
 
 /// Everything one simulated merge group contributes to the pass.
-/// Shared with the pipelined DAG scheduler ([`crate::dag`]), which folds
-/// the same outcomes in the same `(pass, group)` order.
-pub(crate) struct GroupOutcome<R> {
+struct GroupOutcome<R> {
     /// The group's single output run, terminal-free and sorted.
-    pub(crate) out_records: Vec<R>,
-    pub(crate) cycles: u64,
-    pub(crate) bytes_read: u64,
-    pub(crate) bytes_written: u64,
-    pub(crate) input_stalls: u64,
-    pub(crate) output_stalls: u64,
-    pub(crate) fast_forwarded_cycles: u64,
+    out_records: Vec<R>,
+    cycles: u64,
+    bytes_read: u64,
+    bytes_written: u64,
+    input_stalls: u64,
+    output_stalls: u64,
+    fast_forwarded_cycles: u64,
     #[cfg(feature = "sanitize")]
-    pub(crate) diagnostics: Vec<bonsai_check::Diagnostic>,
+    diagnostics: Vec<bonsai_check::Diagnostic>,
 }
 
 /// Copies group `g`'s runs (`[g·fan_in, (g+1)·fan_in)`, clamped) out of
 /// the pass input as a standalone [`RunSet`].
-pub(crate) fn group_input<R: Record>(runs: &RunSet<R>, g: usize, fan_in: usize) -> RunSet<R> {
+fn group_input<R: Record>(runs: &RunSet<R>, g: usize, fan_in: usize) -> RunSet<R> {
     let lo = g * fan_in;
     let hi = ((g + 1) * fan_in).min(runs.num_runs());
     let mut records = Vec::new();
@@ -99,7 +122,7 @@ pub(crate) fn group_input<R: Record>(runs: &RunSet<R>, g: usize, fan_in: usize) 
 }
 
 /// Simulates one merge group to completion against its own bank view.
-pub(crate) fn simulate_group<R: Record>(
+fn simulate_group<R: Record>(
     config: &SimEngineConfig,
     runs: RunSet<R>,
     fan_in: usize,
@@ -132,7 +155,7 @@ pub(crate) fn simulate_group<R: Record>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_pass_sharded<R: Record>(
     config: &SimEngineConfig,
-    runs: &RunSet<R>,
+    runs: RunSet<R>,
     fan_in: usize,
     stage: u32,
     workers: usize,
@@ -141,6 +164,7 @@ pub(crate) fn run_pass_sharded<R: Record>(
     #[cfg(feature = "sanitize")] diagnostics: &mut Vec<bonsai_check::Diagnostic>,
 ) -> Result<(RunSet<R>, PassReport), SortError> {
     let n_runs = runs.num_runs();
+    let n_records = runs.len();
     let groups = n_runs.div_ceil(fan_in);
     let threads = resolve_workers(workers).min(groups).max(1);
 
@@ -149,26 +173,39 @@ pub(crate) fn run_pass_sharded<R: Record>(
     // result in each slot depends only on the group itself.
     let slots: Vec<OnceLock<Result<GroupOutcome<R>, SortError>>> =
         (0..groups).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                steal_groups(&next, groups, |g| {
-                    let input = group_input(runs, g, fan_in);
-                    let result =
-                        simulate_group(config, input, fan_in, stage, max_cycles, reference);
-                    let _ = slots[g].set(result);
-                });
+    if groups == 1 {
+        // The one group merges the whole input: hand it over uncopied.
+        let _ = slots[0].set(simulate_group(
+            config, runs, fan_in, stage, max_cycles, reference,
+        ));
+    } else {
+        let next = AtomicUsize::new(0);
+        let work = || {
+            steal_groups(&next, groups, |g| {
+                let input = group_input(&runs, g, fan_in);
+                let result = simulate_group(config, input, fan_in, stage, max_cycles, reference);
+                let _ = slots[g].set(result);
             });
-        }
-    });
+        };
+        // The calling thread is one of the `threads` workers, so a
+        // one-worker pass spawns nothing.
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            work();
+        });
+        // Every group copied its runs out; free the input before the
+        // outputs are concatenated.
+        drop(runs);
+    }
 
-    let mut out_records = Vec::with_capacity(runs.len() + 1);
+    let mut out_records = Vec::new();
     let mut starts = Vec::with_capacity(groups);
     let mut pass = PassReport {
         stage,
         cycles: 0,
-        records: runs.len() as u64,
+        records: n_records as u64,
         runs_in: n_runs as u64,
         runs_out: groups as u64,
         bytes_read: 0,
@@ -185,7 +222,14 @@ pub(crate) fn run_pass_sharded<R: Record>(
             .into_inner()
             .expect("worker pool simulated every group")?;
         starts.push(out_records.len());
-        out_records.extend(outcome.out_records);
+        if g == 0 {
+            // Grow the first group's buffer rather than copying it, so
+            // a one-group pass copies nothing.
+            out_records = outcome.out_records;
+            out_records.reserve(n_records.saturating_sub(out_records.len()));
+        } else {
+            out_records.extend(outcome.out_records);
+        }
         group_cycles.push(outcome.cycles);
         pass.cycles += outcome.cycles;
         pass.bytes_read += outcome.bytes_read;
@@ -200,15 +244,13 @@ pub(crate) fn run_pass_sharded<R: Record>(
                 .into_iter()
                 .map(|d| d.with("stage", stage).with("group", g)),
         );
-        #[cfg(not(feature = "sanitize"))]
-        let _ = g;
     }
     // Utilization counters come from the deterministic virtual-pool
     // schedule of the per-group cycle costs, not from wall clock, so
     // the report stays bit-identical at every real worker count.
-    let (makespan, busy) = crate::dag::pass_virtual_schedule(&group_cycles);
+    let (makespan, busy) = pass_virtual_schedule(&group_cycles);
     pass.busy_worker_cycles = busy;
-    pass.idle_worker_cycles = (crate::dag::VIRTUAL_WORKERS as u64) * makespan - busy;
+    pass.idle_worker_cycles = (VIRTUAL_WORKERS as u64) * makespan - busy;
     Ok((RunSet::from_parts(out_records, starts), pass))
 }
 
@@ -255,6 +297,17 @@ mod tests {
         for workers in [1, 2, 7] {
             assert!(claim_counts(workers, 0).is_empty());
         }
+    }
+
+    #[test]
+    fn virtual_schedule_fills_the_pool() {
+        // One pass of equal groups fills the pool perfectly...
+        let (makespan, busy) = pass_virtual_schedule(&[10; VIRTUAL_WORKERS]);
+        assert_eq!((makespan, busy), (10, 10 * VIRTUAL_WORKERS as u64));
+        // ...and one straggler past a full wave idles the rest.
+        let (makespan, busy) = pass_virtual_schedule(&[10; VIRTUAL_WORKERS + 1]);
+        assert_eq!((makespan, busy), (20, 10 * (VIRTUAL_WORKERS as u64 + 1)));
+        assert_eq!(pass_virtual_schedule(&[]), (0, 0));
     }
 
     #[test]

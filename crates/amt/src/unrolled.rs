@@ -78,10 +78,11 @@ impl UnrolledSim {
 
     /// Sorts `data`: partitions into `lambda` address ranges, co-simulates
     /// every tree's stages against the shared memory, then merges the
-    /// sorted partitions.
+    /// sorted partitions. Terminal records bypass the trees and come
+    /// back at the front, as in [`SimEngine::sort`](crate::SimEngine::sort).
     pub fn sort<R: Record>(&self, data: Vec<R>) -> (Vec<R>, UnrolledReport) {
-        let sanitized: Vec<R> = data.into_iter().map(Record::sanitize).collect();
-        let n = sanitized.len();
+        let (payload, terminals) = crate::engine::strip_terminals(data);
+        let n = payload.len();
         let chunk = n.div_ceil(self.lambda).max(1);
 
         // Per-tree state: remaining stage schedule + current runs.
@@ -92,7 +93,7 @@ impl UnrolledSim {
             active: Option<PassSim<R>>,
             passes: Vec<PassReport>,
         }
-        let mut trees: Vec<TreeState<R>> = sanitized
+        let mut trees: Vec<TreeState<R>> = payload
             .chunks(chunk)
             .map(|part| {
                 let runs = RunSet::from_chunks(part.to_vec(), self.config.initial_run_len());
@@ -159,7 +160,7 @@ impl UnrolledSim {
             bytes_read: memory.bytes_read(),
             bytes_written: memory.bytes_written(),
         };
-        (merged, report)
+        (crate::engine::prepend_terminals(merged, terminals), report)
     }
 }
 
@@ -180,6 +181,19 @@ mod tests {
         assert_eq!(out, expected);
         assert_eq!(report.per_tree.len(), 4);
         assert!(report.parallel_cycles > 0);
+    }
+
+    #[test]
+    fn terminal_records_come_back_unchanged() {
+        let mut data = uniform_u32(5_000, 35);
+        for i in (0..data.len()).step_by(7) {
+            data[i] = bonsai_records::U32Rec::TERMINAL;
+        }
+        let mut expected = data.clone();
+        expected.sort_unstable();
+        let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
+        let (out, _) = UnrolledSim::new(cfg, 3).sort(data);
+        assert_eq!(out, expected);
     }
 
     #[test]

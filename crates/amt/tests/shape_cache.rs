@@ -47,7 +47,8 @@ fn cache_hit_is_bit_identical_to_cold_compile_fused_and_sharded() {
         assert_eq!(cold.1, cached.1, "fused report must match");
         assert_cold_counters(&cached.1);
 
-        // Sharded, at one, two and max (0 = all-cores) pass workers.
+        // Sharded (what every runtime scheduler drives), at one, two and
+        // max (0 = all-cores) pass workers.
         for workers in [1usize, 2, 0] {
             let cold = SimEngine::try_new(config)
                 .expect("valid")
@@ -59,20 +60,6 @@ fn cache_hit_is_bit_identical_to_cold_compile_fused_and_sharded() {
                 .expect("sorts");
             assert_eq!(cold.0, cached.0, "sharded({workers}) output must match");
             assert_eq!(cold.1, cached.1, "sharded({workers}) report must match");
-        }
-
-        // Pipelined (what the adaptive scheduler actually drives).
-        for workers in [1usize, 2, 0] {
-            let cold = SimEngine::try_new(config)
-                .expect("valid")
-                .try_sort_pipelined(data.clone(), workers)
-                .expect("sorts");
-            let cached = hit
-                .engine()
-                .try_sort_pipelined(data.clone(), workers)
-                .expect("sorts");
-            assert_eq!(cold.0, cached.0, "pipelined({workers}) output must match");
-            assert_eq!(cold.1, cached.1, "pipelined({workers}) report must match");
         }
     }
 }

@@ -28,8 +28,6 @@
 //! bonsai-lint --runtime --no-close-on-drop      # BON052: drop wedges
 //! bonsai-lint --runtime --detach                # BON053: leaked threads
 //! bonsai-lint --runtime --workers 4 --pass-workers 4 --cores 4  # BON054
-//! bonsai-lint --runtime --dag-width 100 --queue-depth 8 --pass-workers 4
-//!                                               # BON056: DAG over capacity
 //! bonsai-lint --runtime --reprogram-us 0        # BON080: shape thrash
 //! bonsai-lint --runtime --deadline-us 100 --reprogram-us 200
 //!                                               # BON081: deadline infeasible
@@ -80,7 +78,6 @@ struct Overrides {
     producers: Option<usize>,
     cores: Option<usize>,
     records: Option<usize>,
-    dag_width: Option<usize>,
     detach: bool,
     no_close_on_drop: bool,
     cache_shapes: Option<usize>,
@@ -144,7 +141,6 @@ impl Overrides {
             || self.queue_depth.is_some()
             || self.producers.is_some()
             || self.records.is_some()
-            || self.dag_width.is_some()
             || self.detach
             || self.no_close_on_drop
             || self.any_adaptive_config()
@@ -173,7 +169,6 @@ impl Overrides {
             join_on_drop: !self.detach,
             cores: self.cores,
             records: self.records,
-            dag_width: self.dag_width,
             adaptive,
         }
     }
@@ -220,9 +215,8 @@ const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--json] [--dump-graph dot|json]
        bonsai-lint --runtime [--workers N] [--pass-workers N] \
 [--queue-depth N] [--producers N] [--cores N] [--records N] \
-[--dag-width N] [--detach] [--no-close-on-drop] [--cache-shapes N] \
-[--shape-classes N] [--reprogram-us N] [--deadline-us N] \
-[--fairness-stride N] [--json]
+[--detach] [--no-close-on-drop] [--cache-shapes N] [--shape-classes N] \
+[--reprogram-us N] [--deadline-us N] [--fairness-stride N] [--json]
        bonsai-lint --prove [engine flags] [--state-budget N] \
 [--credit-slack N] [--replay-records N] [--assume-throughput B/S] [--json]
        bonsai-lint --prove-selftest [engine flags] [--json]
@@ -248,9 +242,6 @@ judges one raw topology (docs/diagnostics.md, Runtime topology):
   --cores N          judge against an N-core host (default: this host)
   --records N        also bound pass-workers by the merge groups of an
                      N-record job on the reference DRAM engine (BON051)
-  --dag-width N      judge a pipelined group-DAG whose ready set can
-                     reach N tasks against the queue + pass-worker
-                     capacity (BON056)
   --detach           model join_on_drop = false (BON053)
   --no-close-on-drop model close_on_drop = false (BON052)
 
@@ -358,7 +349,6 @@ fn parse_args() -> Overrides {
             "--producers" => over.producers = Some(value("--producers") as usize),
             "--cores" => over.cores = Some(value("--cores") as usize),
             "--records" => over.records = Some(value("--records") as usize),
-            "--dag-width" => over.dag_width = Some(value("--dag-width") as usize),
             "--detach" => over.detach = true,
             "--no-close-on-drop" => over.no_close_on_drop = true,
             "--cache-shapes" => over.cache_shapes = Some(value("--cache-shapes") as usize),

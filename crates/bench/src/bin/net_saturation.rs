@@ -5,8 +5,7 @@
 //! ephemeral loopback port, splits the same fixed total of
 //! [`TOTAL_JOBS`] jobs across its clients, pipelines up to
 //! [`WINDOW`] jobs per connection, and verifies every reply
-//! (exactly-once acknowledgement, output equal to sanitize-then-sort
-//! of the input). The figure of merit is aggregate jobs/sec; with the
+//! (exactly-once acknowledgement, output equal to the input sorted). The figure of merit is aggregate jobs/sec; with the
 //! total fixed, rows differ only in concurrency, so the 64-client row
 //! measures what contention costs — accept loop, per-connection
 //! threads, the shared bounded queue — and none of it is workload
@@ -15,7 +14,7 @@
 //! Gate: the 64-client row must reach at least the 1-client rate. On a
 //! multi-core host saturation should *win* (more connections keep more
 //! runtime workers fed); like the other wall-clock gates
-//! (`perf_pipeline`, `runtime_smoke`) it arms only on hosts with ≥ 4
+//! (`perf_adaptive`, `runtime_smoke`) it arms only on hosts with ≥ 4
 //! cores, because on one core concurrency can only add overhead.
 //! Exactly-once verification is always on, every row, every host.
 //!
@@ -37,7 +36,7 @@ use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_bench::perf::{bench_json, bench_out_path, percentile, JsonField};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_net::{Client, Reply, Server, ServerConfig};
-use bonsai_records::{Record, U32Rec};
+use bonsai_records::U32Rec;
 use bonsai_runtime::RuntimeConfig;
 
 /// Jobs per row, split across that row's clients (64 divides it, so
@@ -85,7 +84,7 @@ fn run_client(addr: SocketAddr, client_idx: u64, jobs: u64) -> Vec<f64> {
     for job in 0..jobs {
         let seed = client_idx * 1_000_003 + job;
         let data = uniform_u32(RECORDS, seed);
-        let mut expected: Vec<U32Rec> = data.iter().map(|r| r.sanitize()).collect();
+        let mut expected = data.clone();
         expected.sort_unstable();
         pending.insert(job, (expected, Instant::now()));
         client.send(job, &data).expect("send");

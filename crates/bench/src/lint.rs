@@ -396,10 +396,6 @@ pub struct RawRuntimeLint {
     /// `records`-record job on the paper's reference DRAM engine
     /// (`BON051`).
     pub records: Option<usize>,
-    /// When set, judge a pipelined group-DAG of this peak ready width
-    /// (`SortPlan::max_ready_width`) against the queue/worker capacity
-    /// (`BON056`).
-    pub dag_width: Option<usize>,
     /// When set, also run the BON08x adaptive-scheduler pass over these
     /// knobs (the CLI arms this whenever any of `--cache-shapes`,
     /// `--shape-classes`, `--reprogram-us`, `--deadline-us` or
@@ -453,7 +449,6 @@ impl Default for RawRuntimeLint {
             join_on_drop: defaults.join_on_drop,
             cores: None,
             records: None,
-            dag_width: None,
             adaptive: None,
         }
     }
@@ -482,18 +477,6 @@ impl RawRuntimeLint {
         let mut diagnostics =
             self.config()
                 .validate_for_engine(self.records.map(|_| &engine), self.records, cores);
-        // The pipelined scheduler's capacity lint: a DAG whose ready
-        // set outgrows the stated queue + pass-worker capacity has
-        // tasks with nowhere to go (BON056). The `0` sentinels (auto
-        // pool / unbounded queue) leave the capacity unstated, matching
-        // `check_dag_capacity`'s contract.
-        if let Some(width) = self.dag_width {
-            diagnostics.extend(bonsai_check::check_dag_capacity(
-                width,
-                self.queue_depth,
-                self.pass_workers,
-            ));
-        }
         // The adaptive scheduler's knob checks (BON08x), called
         // directly rather than through an Adaptive `RuntimeConfig` so
         // the probe's `--shape-classes` override is honored.
@@ -816,36 +799,6 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == bonsai_check::codes::RUNTIME_OVERSUBSCRIBED));
-
-        // --dag-width judges a pipelined DAG's peak ready set against
-        // the stated queue + pass-worker capacity: BON056 (error).
-        let f = RawRuntimeLint {
-            pass_workers: 4,
-            queue_depth: 8,
-            dag_width: Some(100),
-            cores: Some(8),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::RUNTIME_DAG_OVER_CAPACITY));
-        let f = RawRuntimeLint {
-            pass_workers: 4,
-            queue_depth: 8,
-            dag_width: Some(12),
-            cores: Some(8),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
-        assert!(
-            !f.diagnostics
-                .iter()
-                .any(|d| d.code == bonsai_check::codes::RUNTIME_DAG_OVER_CAPACITY),
-            "{:?}",
-            f.diagnostics
-        );
 
         // --records bounds pass-workers by the engine's merge groups.
         let f = RawRuntimeLint {

@@ -1,5 +1,5 @@
 //! Shared shapes and helpers for the performance suite
-//! (`perf_baseline`, `perf_pipeline`, the `runtime_smoke` perf gate and
+//! (`perf_baseline`, `perf_adaptive`, the `runtime_smoke` perf gate and
 //! the equivalence tests): machine shapes, report normalizers, and the
 //! `BENCH_*.json` writer every bench binary shares.
 
@@ -20,15 +20,13 @@ pub fn ssd_scale_config() -> SimEngineConfig {
     cfg
 }
 
-/// A multi-pass variant of the SSD-scale shape for the cross-pass
-/// pipelining bench: a 4-leaf tree turns [`MULTIPASS_RECORDS`] records
-/// (132 presorted runs) into a 4-pass sort with groups 33 → 9 → 3 → 1.
-/// On this latency-bound stream every merge group costs roughly the
-/// same simulated cycles regardless of pass (quadrupling the run
-/// length quarters the per-record cost), so the barrier scheduler's
-/// ceil-waste — 5 + 2 + 1 + 1 = 9 group-waves for 46 groups of work
-/// that fit in 46/8 ≈ 5.75 — is exactly the idle cross-pass
-/// pipelining exists to reclaim.
+/// A multi-pass variant of the SSD-scale shape: a 4-leaf tree turns
+/// [`MULTIPASS_RECORDS`] records (132 presorted runs) into a 4-pass sort
+/// with groups 33 → 9 → 3 → 1. On this latency-bound stream every merge
+/// group costs roughly the same simulated cycles regardless of pass
+/// (quadrupling the run length quarters the per-record cost), so the
+/// per-pass utilization counters show the narrow tail passes idling
+/// most of the virtual worker pool.
 pub fn ssd_multipass_config() -> SimEngineConfig {
     let mut cfg = SimEngineConfig::with_memory(AmtConfig::new(4, 4), 4, MemoryConfig::ssd_direct());
     cfg.loader.batch_bytes = 131_072;
@@ -47,14 +45,6 @@ pub fn normalized(mut r: SortReport) -> SortReport {
     for p in &mut r.passes {
         p.fast_forwarded_cycles = 0;
     }
-    r
-}
-
-/// Strips `pipeline_overlap_cycles` (the only field that legitimately
-/// differs between the barrier and pipelined schedulers) so reports can
-/// be compared bit for bit across schedulers.
-pub fn no_overlap(mut r: SortReport) -> SortReport {
-    r.pipeline_overlap_cycles = 0;
     r
 }
 
@@ -225,12 +215,12 @@ mod tests {
     #[test]
     fn multipass_shape_really_is_multipass() {
         let cfg = ssd_multipass_config();
-        let runs = MULTIPASS_RECORDS.div_ceil(cfg.initial_run_len());
-        let plan = bonsai_amt::SortPlan::new(runs, cfg.amt.l);
-        assert!(plan.num_passes() >= 3, "{} passes", plan.num_passes());
-        let groups: Vec<usize> = (0..plan.num_passes())
-            .map(|p| plan.pass(p).groups)
-            .collect();
+        let mut runs = MULTIPASS_RECORDS.div_ceil(cfg.initial_run_len()) as u64;
+        let mut groups = Vec::new();
+        for fan_in in bonsai_amt::schedule::fan_in_schedule(runs, cfg.amt.l as u64) {
+            runs = runs.div_ceil(fan_in);
+            groups.push(runs);
+        }
         assert_eq!(groups, vec![33, 9, 3, 1]);
     }
 }

@@ -1,6 +1,6 @@
 //! Exit-code and `--json` schema contract test for the `bonsai-lint`
 //! binary, across every mode: the default config pass, `--runtime`,
-//! `--dag-width`, `--prove` and `--prove-selftest`.
+//! `--prove` and `--prove-selftest`.
 //!
 //! The contract under test (documented in the binary's `--help`):
 //!
@@ -55,17 +55,6 @@ fn clean_invocations_exit_zero_in_every_mode() {
     for args in [
         &["--p", "4", "--l", "16"][..],
         &["--runtime", "--cores", "8"],
-        &[
-            "--runtime",
-            "--dag-width",
-            "8",
-            "--queue-depth",
-            "8",
-            "--pass-workers",
-            "4",
-            "--cores",
-            "8",
-        ],
         &["--prove", "--p", "4", "--l", "16"],
     ] {
         let out = lint(args);
@@ -88,20 +77,6 @@ fn error_findings_exit_one_in_every_mode() {
                 "8",
             ],
             "BON050",
-        ),
-        (
-            &[
-                "--runtime",
-                "--dag-width",
-                "100",
-                "--queue-depth",
-                "8",
-                "--pass-workers",
-                "4",
-                "--cores",
-                "8",
-            ],
-            "BON056",
         ),
         (&["--prove", "--buffer-batches", "0"], "BON060"),
         (&["--prove", "--credit-slack", "2"], "BON061"),
@@ -131,6 +106,7 @@ fn usage_errors_exit_two() {
         &["--prove", "--runtime"],           // mixed modes
         &["--state-budget", "4"],            // prove flag without --prove
         &["--workers", "2"],                 // runtime flag without --runtime
+        &["--runtime", "--dag-width", "8"],  // retired with BON056
         &["--prove", "--dump-graph", "dot"], // prove vs dump
         &["--prove", "--assume-throughput", "nan"],
     ] {
@@ -147,12 +123,10 @@ fn json_schema_is_identical_across_all_modes() {
         &[
             "--json",
             "--runtime",
-            "--dag-width",
-            "100",
             "--queue-depth",
-            "8",
-            "--pass-workers",
-            "4",
+            "0",
+            "--producers",
+            "2",
             "--cores",
             "8",
         ],

@@ -229,8 +229,6 @@ pub mod codes {
     pub const RUNTIME_OVERSUBSCRIBED: &str = "BON054";
     /// Queue depth below the worker count starves the pool.
     pub const RUNTIME_QUEUE_BELOW_WORKERS: &str = "BON055";
-    /// A task DAG's peak ready width exceeds queue + worker capacity.
-    pub const RUNTIME_DAG_OVER_CAPACITY: &str = "BON056";
 
     // --- BON06x: occupancy reachability (bonsai-prove) ------------------
 
@@ -458,11 +456,6 @@ pub mod codes {
             code: RUNTIME_QUEUE_BELOW_WORKERS,
             severity: Severity::Warning,
             summary: "queue depth below worker count starves the pool",
-        },
-        CodeInfo {
-            code: RUNTIME_DAG_OVER_CAPACITY,
-            severity: Severity::Error,
-            summary: "DAG ready set can exceed queue + worker capacity",
         },
         CodeInfo {
             code: PROVE_DEADLOCK_REACHABLE,
@@ -975,38 +968,6 @@ pub fn check_runtime_shape(
         );
     }
     out
-}
-
-/// Check a task DAG's peak ready width against a dispatcher that holds
-/// at most `workers` tasks in flight plus `queue_depth` buffered ready
-/// tasks. Emits `BON056`.
-///
-/// `max_ready_width` is the largest ready set the DAG can ever expose
-/// (for the sort engine's layered group DAG, the widest pass's group
-/// count). A ready task that fits in neither a worker nor the queue has
-/// nowhere to go: a dispatcher that blocks on the publish side can then
-/// deadlock against its own workers, and one that drops loses the task.
-/// Either `0` sentinel (unbounded queue / auto-sized pool) leaves the
-/// capacity unstated, so — as with `BON055` — only explicit values can
-/// contradict the DAG and nothing is emitted.
-#[must_use]
-pub fn check_dag_capacity(
-    max_ready_width: usize,
-    queue_depth: usize,
-    workers: usize,
-) -> Vec<Diagnostic> {
-    if queue_depth > 0 && workers > 0 && max_ready_width > queue_depth + workers {
-        vec![Diagnostic::error(
-            codes::RUNTIME_DAG_OVER_CAPACITY,
-            "the task DAG can expose more ready tasks than the queue and workers \
-             can hold; a bounded dispatcher would block or drop tasks",
-        )
-        .with("max_ready_width", max_ready_width)
-        .with("queue_depth", queue_depth)
-        .with("workers", workers)]
-    } else {
-        Vec::new()
-    }
 }
 
 /// Check one job's pass-sharding width against the merge groups the

@@ -464,28 +464,6 @@ fn bon055_queue_shallower_than_pool() {
     assert!(runtime_shape(8, 1, 8, 1, true, true).is_empty());
 }
 
-#[test]
-fn bon056_dag_ready_set_beyond_capacity() {
-    // 100 simultaneously-ready tasks against 8 workers + 16 queue slots.
-    let diags = bonsai_check::check_dag_capacity(100, 16, 8);
-    assert_emits(&diags, codes::RUNTIME_DAG_OVER_CAPACITY);
-    assert!(has_errors(&diags), "an overflowing dispatcher is broken");
-    // Exactly at capacity is fine.
-    assert!(bonsai_check::check_dag_capacity(24, 16, 8).is_empty());
-    // Either `0` sentinel (unbounded queue / auto pool) states no
-    // capacity to contradict.
-    assert!(bonsai_check::check_dag_capacity(100, 0, 8).is_empty());
-    assert!(bonsai_check::check_dag_capacity(100, 16, 0).is_empty());
-
-    // Through a real sort plan: 1000 presorted runs on 16 leaves open
-    // with ceil(1000/8) = 125 pass-0 groups, all ready at once.
-    let plan = bonsai_amt::SortPlan::new(1_000, 16);
-    assert_eq!(plan.max_ready_width(), 125);
-    let diags = plan.validate_capacity(16, 8);
-    assert_emits(&diags, codes::RUNTIME_DAG_OVER_CAPACITY);
-    assert!(plan.validate_capacity(128, 8).is_empty());
-}
-
 // --- Adaptive-runtime codes (BON08x) ----------------------------------
 
 /// Shorthand: adaptive knobs with 2 job classes (the two-lane runtime).
@@ -554,9 +532,9 @@ fn adaptive_codes_fire_through_the_runtime_config() {
     // ...and the default adaptive knobs are lint-clean.
     cfg.adaptive = bonsai_runtime::AdaptiveConfig::default();
     assert!(cfg.validate_for_cores(8).is_empty());
-    // A barrier-scheduled config never trips adaptive lints, whatever
+    // A fixed-scheduler config never trips adaptive lints, whatever
     // its (unused) adaptive knobs say.
-    cfg.scheduler = bonsai_runtime::PassScheduler::Barrier;
+    cfg.scheduler = bonsai_runtime::PassScheduler::Fixed;
     cfg.adaptive.reprogram_cost_us = 0;
     assert!(cfg.validate_for_cores(8).is_empty());
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_net::{Client, Reply, Server, ServerConfig};
-use bonsai_records::{Record, U32Rec};
+use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
 use bonsai_runtime::RuntimeConfig;
 
@@ -32,9 +32,9 @@ fn random_records(rng: &mut Rng, n: usize) -> Vec<U32Rec> {
     (0..n).map(|_| U32Rec::new(rng.next_u32())).collect()
 }
 
-/// What the engine contractually returns: sanitize, then sort.
+/// What the engine contractually returns: the input, sorted.
 fn expect_sorted(data: &[U32Rec]) -> Vec<U32Rec> {
-    let mut expected: Vec<U32Rec> = data.iter().map(|r| r.sanitize()).collect();
+    let mut expected = data.to_vec();
     expected.sort_unstable();
     expected
 }
@@ -51,6 +51,29 @@ fn assert_sorts(client: &mut Client<U32Rec>, job_id: u64, data: &[U32Rec]) {
         }
         Reply::ServerError { code, message, .. } => panic!("job {job_id}: {code}: {message}"),
     }
+}
+
+#[test]
+fn terminal_valued_records_come_back_unchanged() {
+    // The all-zero record is the datapath's reserved terminal; the
+    // service must still return every one of them, in sorted position.
+    let server = spawn_server(test_config());
+    let mut client = Client::<U32Rec>::connect(server.local_addr()).expect("connect");
+    let zero = U32Rec::new(0);
+    let mut rng = Rng::seed_from_u64(3);
+    let alternating: Vec<U32Rec> = (0..2_000)
+        .map(|i| {
+            if i % 2 == 0 {
+                zero
+            } else {
+                U32Rec::new(rng.next_u32())
+            }
+        })
+        .collect();
+    assert_sorts(&mut client, 1, &vec![zero; 1_000]);
+    assert_sorts(&mut client, 2, &alternating);
+    let stats = server.shutdown();
+    assert_eq!(stats.jobs_ok, 2);
 }
 
 #[test]
@@ -415,8 +438,7 @@ fn backpressure_many_clients_with_tiny_queue_all_finish() {
                 let mut client = Client::<U32Rec>::connect(addr).expect("connect");
                 for j in 0..4u64 {
                     let data: Vec<U32Rec> = (0..200).map(|_| U32Rec::new(rng.next_u32())).collect();
-                    let mut expected: Vec<U32Rec> = data.iter().map(|r| r.sanitize()).collect();
-                    expected.sort_unstable();
+                    let expected = expect_sorted(&data);
                     match client.sort(j, &data).expect("round trip") {
                         Reply::Sorted { job_id, records } => {
                             assert_eq!(job_id, j);
@@ -486,9 +508,9 @@ fn adaptive_server_reports_cache_and_reprogram_counters() {
 #[test]
 fn non_adaptive_server_reports_zero_adaptive_counters() {
     // Pinned (not `scheduler_from_env`): this test is about the
-    // non-adaptive schedulers even when CI sets the adaptive env.
+    // fixed scheduler even when CI sets the adaptive env.
     let mut config = test_config();
-    config.runtime.scheduler = bonsai_runtime::PassScheduler::Barrier;
+    config.runtime.scheduler = bonsai_runtime::PassScheduler::Fixed;
     let server = spawn_server(config);
     let mut client = Client::<U32Rec>::connect(server.local_addr()).expect("connect");
     let mut rng = Rng::seed_from_u64(22);

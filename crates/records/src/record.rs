@@ -7,9 +7,11 @@ use core::fmt;
 /// The Bonsai datapath (§II, §V of the paper) treats records as opaque
 /// fixed-width tuples ordered by a sort key. One value — the all-zero
 /// *terminal record* — is reserved to delimit sorted runs inside the merge
-/// tree (§V-B); real data must therefore never contain the terminal value.
-/// Use [`Record::sanitize`] on untrusted inputs to enforce this, exactly as
-/// the hardware's *zero append / zero filter* units assume.
+/// tree (§V-B); data fed into the datapath must therefore never contain
+/// the terminal value. The sort engines strip terminal-valued input
+/// records before the datapath and put them back in front of the output;
+/// [`Record::sanitize`] instead remaps the value, for code that feeds the
+/// datapath directly.
 ///
 /// The `Ord` implementation of a `Record` must order records by
 /// [`Record::key`] first (ties may be broken arbitrarily but must be

@@ -17,7 +17,7 @@
 //! the generic [`WorkerPool`](crate::WorkerPool) behind the same
 //! [`PoolQueue`](crate::pool::PoolQueue) interface as the FIFO queue.
 //! When every item reports [`JobClass::Latency`] — what the runtime's
-//! non-adaptive schedulers do — the queue *is* a FIFO: one lane, zero
+//! fixed scheduler does — the queue *is* a FIFO: one lane, zero
 //! reordering, identical observable behavior.
 //!
 //! Like the FIFO queue, the queue is generic over the [`SyncOps`]

@@ -80,19 +80,14 @@ pub use queue::{BoundedQueue, PushError};
 
 use adaptive::AdaptiveState;
 
-/// Which scheduler a worker drives one job's merge passes with.
+/// How the runtime picks each job's AMT shape. Either way, a worker
+/// sorts the job with [`SimEngine::try_sort_sharded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PassScheduler {
-    /// Per-pass barrier: every group of pass *p* drains before pass
-    /// *p+1* starts ([`SimEngine::try_sort_sharded`]).
+    /// Every job sorts on the shape it was submitted with, in strict
+    /// FIFO order.
     #[default]
-    Barrier,
-    /// Cross-pass pipelined group DAG: a pass-*p+1* group starts as
-    /// soon as the pass-*p* groups feeding its leaves have drained
-    /// ([`SimEngine::try_sort_pipelined`]). Output and report are
-    /// bit-identical to [`PassScheduler::Barrier`] except the
-    /// observability-only `pipeline_overlap_cycles` counter.
-    Pipelined,
+    Fixed,
     /// Optimizer-driven adaptive scheduling: each job is classed by
     /// size ([`JobClass`]), dispatched through the two-lane
     /// [`ClassQueue`] (small latency-bound jobs overtake queued batch
@@ -101,25 +96,22 @@ pub enum PassScheduler {
     /// throughput-optimal for the throughput class — with shape
     /// switches charged through the reconfiguration planner and
     /// validated shapes served from a bounded compiled-shape cache
-    /// ([`bonsai_amt::ShapeCache`]). Within a job, passes run on the
-    /// pipelined group DAG. Knobs live in [`AdaptiveConfig`]; shape
-    /// checks are `BON080`–`BON083`.
+    /// ([`bonsai_amt::ShapeCache`]). Knobs live in [`AdaptiveConfig`];
+    /// shape checks are `BON080`–`BON083`.
     Adaptive,
 }
 
 /// Environment variable selecting the default [`PassScheduler`] for
-/// [`RuntimeConfig::default`]: `pipelined` picks the cross-pass group
-/// DAG, `adaptive` the optimizer-driven adaptive scheduler, anything
-/// else (or unset) the per-pass barrier. Exists so CI can run the whole
-/// suite under any scheduler, mirroring
+/// [`RuntimeConfig::default`]: `adaptive` picks the optimizer-driven
+/// adaptive scheduler, anything else (or unset) the fixed one. Exists
+/// so CI can run the whole suite under either scheduler, mirroring
 /// [`bonsai_amt::REFERENCE_LOOP_ENV`] for the simulation loop.
 pub const SCHEDULER_ENV: &str = "BONSAI_RUNTIME_SCHEDULER";
 
 fn scheduler_from_env() -> PassScheduler {
     match std::env::var(SCHEDULER_ENV).as_deref() {
-        Ok("pipelined") => PassScheduler::Pipelined,
         Ok("adaptive") => PassScheduler::Adaptive,
-        _ => PassScheduler::Barrier,
+        _ => PassScheduler::Fixed,
     }
 }
 
@@ -135,11 +127,9 @@ pub struct RuntimeConfig {
     /// (`0` = one per core). The default of `1` keeps one job per core;
     /// raise it when jobs are few and wide.
     pub pass_workers: usize,
-    /// How those pass workers are scheduled: per-pass barrier or
-    /// cross-pass pipelined group DAG. Defaults to the barrier unless
-    /// [`SCHEDULER_ENV`] says `pipelined`. Both produce bit-identical
-    /// sorted output and reports (modulo the observability-only
-    /// `pipeline_overlap_cycles` counter).
+    /// How each job's shape is chosen: as submitted, or by the
+    /// adaptive optimizer. Defaults to [`PassScheduler::Fixed`] unless
+    /// [`SCHEDULER_ENV`] says `adaptive`.
     pub scheduler: PassScheduler,
     /// Per-pass livelock cycle bound handed to the engine; `None` keeps
     /// the engine default.
@@ -433,20 +423,16 @@ fn run_job<R: Record>(
             if let Some(reference) = config.reference_loop {
                 engine = engine.with_reference_loop(reference);
             }
-            match config.scheduler {
-                PassScheduler::Barrier => engine.try_sort_sharded(job.data, config.pass_workers),
-                PassScheduler::Pipelined | PassScheduler::Adaptive => {
-                    engine.try_sort_pipelined(job.data, config.pass_workers)
-                }
-            }
-            .map(|(sorted, mut report)| {
-                if let Some(hit) = cache_hit {
-                    report.shape_cache_hits = u64::from(hit);
-                    report.shape_cache_misses = u64::from(!hit);
-                }
-                JobOutput { sorted, report }
-            })
-            .map_err(JobError::Sim)
+            engine
+                .try_sort_sharded(job.data, config.pass_workers)
+                .map(|(sorted, mut report)| {
+                    if let Some(hit) = cache_hit {
+                        report.shape_cache_hits = u64::from(hit);
+                        report.shape_cache_misses = u64::from(!hit);
+                    }
+                    JobOutput { sorted, report }
+                })
+                .map_err(JobError::Sim)
         });
     JobResult {
         id,
@@ -481,14 +467,14 @@ pub struct Runtime<R: Record> {
     config: RuntimeConfig,
     next_ticket: std::sync::atomic::AtomicU64,
     // The adaptive brain (shape cache + planners), shared with the
-    // workers; `None` for the barrier/pipelined schedulers.
+    // workers; `None` for the fixed scheduler.
     adaptive: Option<Arc<Mutex<AdaptiveState>>>,
     // Reply-path results are delivered through their channel and return
     // `None` from the runner, so an always-on service does not
     // accumulate results it will never `finish`.
     //
-    // Every scheduler drains the two-lane class queue: the non-adaptive
-    // ones tag all jobs latency-class, which makes it an exact FIFO.
+    // Both schedulers drain the two-lane class queue: the fixed one tags
+    // all jobs latency-class, which makes it an exact FIFO.
     #[allow(clippy::type_complexity)]
     pool: WorkerPool<Dispatch<R>, Option<JobResult<R>>, StdSync, ClassQueue<Dispatch<R>, StdSync>>,
 }
@@ -550,8 +536,8 @@ impl<R: Record> Runtime<R> {
     }
 
     /// Snapshot of the adaptive layer's counters (shape-cache hit rate,
-    /// reprograms, per-lane job counts). All zero for the barrier and
-    /// pipelined schedulers.
+    /// reprograms, per-lane job counts). All zero for the fixed
+    /// scheduler.
     #[must_use]
     pub fn adaptive_stats(&self) -> AdaptiveStats {
         self.adaptive
@@ -932,42 +918,14 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_scheduler_matches_barrier_modulo_overlap() {
-        let data = uniform_u32(20_000, 21);
-        let run = |scheduler: PassScheduler| {
-            let runtime = Runtime::start(RuntimeConfig {
-                workers: 2,
-                pass_workers: 2,
-                scheduler,
-                ..RuntimeConfig::default()
-            });
-            runtime
-                .submit(SortJob::new(0, dram_cfg(), data.clone()))
-                .expect("runtime open");
-            runtime.finish().remove(0).result.expect("sorts")
-        };
-        let barrier = run(PassScheduler::Barrier);
-        let pipelined = run(PassScheduler::Pipelined);
-        assert_eq!(barrier.sorted, pipelined.sorted);
-        assert_eq!(barrier.report.pipeline_overlap_cycles, 0);
-        let mut normalized = pipelined.report.clone();
-        normalized.pipeline_overlap_cycles = 0;
-        assert_eq!(
-            barrier.report, normalized,
-            "schedulers must agree on everything but the overlap counter"
-        );
-    }
-
-    #[test]
-    fn panicking_job_fails_alone_under_pipelined_scheduler() {
-        // Same poisoned-Ord shape as the barrier test above, but the
-        // panic now fires inside a DAG worker: catch_unwind in the DAG
-        // loop must drain the task graph (no wedged wait_while) before
-        // the job-level catch records the failure.
+    fn panicking_job_fails_alone_with_pass_workers() {
+        // Same poisoned-Ord shape as the test above, with two pass
+        // workers per job: the panic unwinds out of the sharded sort
+        // (joining its helper threads) into the job-level catch, and
+        // the next job still sorts.
         let runtime = Runtime::<PanicRec>::start(RuntimeConfig {
             workers: 1,
             pass_workers: 2,
-            scheduler: PassScheduler::Pipelined,
             ..RuntimeConfig::default()
         });
         let mut poisoned: Vec<PanicRec> = (0..3_000u32)
@@ -988,7 +946,7 @@ mod tests {
             }
             other => panic!("expected JobError::Panic, got {other:?}"),
         }
-        assert!(results[1].result.is_ok(), "batch survives the DAG panic");
+        assert!(results[1].result.is_ok(), "batch survives the panic");
     }
 
     #[test]

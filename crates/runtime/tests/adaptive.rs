@@ -33,10 +33,10 @@ fn no_cache_counters(mut r: SortReport) -> SortReport {
 #[test]
 fn adaptive_sorts_correctly_and_cuts_passes_for_latency_jobs() {
     let data = uniform_u32(50_000, 5);
-    let barrier = {
+    let fixed = {
         let runtime = Runtime::start(RuntimeConfig {
             workers: 1,
-            scheduler: PassScheduler::Barrier,
+            scheduler: PassScheduler::Fixed,
             ..RuntimeConfig::default()
         });
         runtime
@@ -56,14 +56,14 @@ fn adaptive_sorts_correctly_and_cuts_passes_for_latency_jobs() {
             .expect("open");
         runtime.finish().remove(0).result.expect("sorts")
     };
-    assert_eq!(barrier.sorted, adaptive.sorted, "same sorted output");
+    assert_eq!(fixed.sorted, adaptive.sorted, "same sorted output");
     // 50 000 records in 16-record runs is 3125 runs: AMT(4,16) needs 3
     // merge passes, the optimizer's wide tree strictly fewer.
     assert!(
-        adaptive.report.passes.len() < barrier.report.passes.len(),
+        adaptive.report.passes.len() < fixed.report.passes.len(),
         "adaptive must reduce pass count ({} vs {})",
         adaptive.report.passes.len(),
-        barrier.report.passes.len()
+        fixed.report.passes.len()
     );
 }
 
@@ -127,10 +127,10 @@ fn adaptive_stats_snapshot_counts_lanes_hits_and_reprograms() {
 #[test]
 fn non_adaptive_runtimes_report_zero_adaptive_stats() {
     // Pinned (not `scheduler_from_env`): this test is about the
-    // non-adaptive schedulers even when CI sets the adaptive env.
+    // fixed scheduler even when CI sets the adaptive env.
     let runtime = Runtime::<U32Rec>::start(RuntimeConfig {
         workers: 1,
-        scheduler: PassScheduler::Barrier,
+        scheduler: PassScheduler::Fixed,
         ..RuntimeConfig::default()
     });
     assert_eq!(runtime.adaptive_stats(), Default::default());
