@@ -65,6 +65,12 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 fn drive(reference: bool) -> u64 {
     let cfg = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
     let data = uniform_u32(30_000, 9);
+    // `sanitize` rewrites terminal (zero) keys to 1. That is deliberate
+    // here: `PassSim` is the raw datapath, which reserves the terminal
+    // record as its end-of-run marker (§V-B), and this test measures
+    // allocations, not output. The sort boundary (`SimEngine`) strips
+    // terminal records instead of rewriting them (`engine::
+    // strip_terminals`), so a sort returns its input's permutation.
     let sanitized: Vec<U32Rec> = data.into_iter().map(Record::sanitize).collect();
     let runs = RunSet::from_chunks(sanitized, cfg.initial_run_len());
     let mut sim = PassSim::new(&cfg, runs, 16);

@@ -25,8 +25,6 @@
 //! ```sh
 //! bonsai-lint --runtime                         # lint in-repo topologies
 //! bonsai-lint --runtime --queue-depth 0 --producers 2   # BON050
-//! bonsai-lint --runtime --no-close-on-drop      # BON052: drop wedges
-//! bonsai-lint --runtime --detach                # BON053: leaked threads
 //! bonsai-lint --runtime --workers 4 --pass-workers 4 --cores 4  # BON054
 //! bonsai-lint --runtime --reprogram-us 0        # BON080: shape thrash
 //! bonsai-lint --runtime --deadline-us 100 --reprogram-us 200
@@ -78,8 +76,6 @@ struct Overrides {
     producers: Option<usize>,
     cores: Option<usize>,
     records: Option<usize>,
-    detach: bool,
-    no_close_on_drop: bool,
     cache_shapes: Option<usize>,
     shape_classes: Option<usize>,
     reprogram_us: Option<u64>,
@@ -141,8 +137,6 @@ impl Overrides {
             || self.queue_depth.is_some()
             || self.producers.is_some()
             || self.records.is_some()
-            || self.detach
-            || self.no_close_on_drop
             || self.any_adaptive_config()
     }
 
@@ -165,8 +159,6 @@ impl Overrides {
             pass_workers: self.pass_workers.unwrap_or(defaults.pass_workers),
             queue_depth: self.queue_depth.unwrap_or(defaults.queue_depth),
             producers: self.producers.unwrap_or(defaults.producers),
-            close_on_drop: !self.no_close_on_drop,
-            join_on_drop: !self.detach,
             cores: self.cores,
             records: self.records,
             adaptive,
@@ -215,7 +207,7 @@ const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--json] [--dump-graph dot|json]
        bonsai-lint --runtime [--workers N] [--pass-workers N] \
 [--queue-depth N] [--producers N] [--cores N] [--records N] \
-[--detach] [--no-close-on-drop] [--cache-shapes N] [--shape-classes N] \
+[--cache-shapes N] [--shape-classes N] \
 [--reprogram-us N] [--deadline-us N] [--fairness-stride N] [--json]
        bonsai-lint --prove [engine flags] [--state-budget N] \
 [--credit-slack N] [--replay-records N] [--assume-throughput B/S] [--json]
@@ -242,8 +234,6 @@ judges one raw topology (docs/diagnostics.md, Runtime topology):
   --cores N          judge against an N-core host (default: this host)
   --records N        also bound pass-workers by the merge groups of an
                      N-record job on the reference DRAM engine (BON051)
-  --detach           model join_on_drop = false (BON053)
-  --no-close-on-drop model close_on_drop = false (BON052)
 
 Any adaptive-scheduler flag additionally runs the BON08x knob checks
 (docs/diagnostics.md, Adaptive runtime); unset knobs keep the
@@ -349,8 +339,6 @@ fn parse_args() -> Overrides {
             "--producers" => over.producers = Some(value("--producers") as usize),
             "--cores" => over.cores = Some(value("--cores") as usize),
             "--records" => over.records = Some(value("--records") as usize),
-            "--detach" => over.detach = true,
-            "--no-close-on-drop" => over.no_close_on_drop = true,
             "--cache-shapes" => over.cache_shapes = Some(value("--cache-shapes") as usize),
             "--shape-classes" => over.shape_classes = Some(value("--shape-classes") as usize),
             "--reprogram-us" => over.reprogram_us = Some(value("--reprogram-us")),

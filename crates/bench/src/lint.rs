@@ -386,10 +386,6 @@ pub struct RawRuntimeLint {
     pub queue_depth: usize,
     /// Concurrent submitting threads.
     pub producers: usize,
-    /// Whether drop closes the queue before joining.
-    pub close_on_drop: bool,
-    /// Whether drop joins the workers at all.
-    pub join_on_drop: bool,
     /// Host core count to judge against; `None` = this machine.
     pub cores: Option<usize>,
     /// When set, also bound `pass_workers` by the merge groups of a
@@ -445,8 +441,6 @@ impl Default for RawRuntimeLint {
             pass_workers: defaults.pass_workers,
             queue_depth: defaults.queue_depth,
             producers: defaults.producers,
-            close_on_drop: defaults.close_on_drop,
-            join_on_drop: defaults.join_on_drop,
             cores: None,
             records: None,
             adaptive: None,
@@ -462,8 +456,6 @@ impl RawRuntimeLint {
             pass_workers: self.pass_workers,
             queue_depth: self.queue_depth,
             producers: self.producers,
-            close_on_drop: self.close_on_drop,
-            join_on_drop: self.join_on_drop,
             ..RuntimeConfig::default()
         }
     }
@@ -773,18 +765,6 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == bonsai_check::codes::RUNTIME_QUEUE_ZERO));
-
-        // Joining without closing wedges drop: BON052 (error).
-        let f = RawRuntimeLint {
-            close_on_drop: false,
-            cores: Some(8),
-            ..RawRuntimeLint::default()
-        }
-        .lint();
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::RUNTIME_JOIN_WITHOUT_CLOSE));
 
         // Oversubscription is judged on the *stated* core count, not
         // the machine the lint happens to run on.

@@ -101,13 +101,15 @@ fn warnings_alone_keep_exit_zero() {
 fn usage_errors_exit_two() {
     for args in [
         &["--frobnicate"][..],
-        &["--p"],                            // missing value
-        &["--runtime", "--p", "4"],          // mixed modes
-        &["--prove", "--runtime"],           // mixed modes
-        &["--state-budget", "4"],            // prove flag without --prove
-        &["--workers", "2"],                 // runtime flag without --runtime
-        &["--runtime", "--dag-width", "8"],  // retired with BON056
-        &["--prove", "--dump-graph", "dot"], // prove vs dump
+        &["--p"],                             // missing value
+        &["--runtime", "--p", "4"],           // mixed modes
+        &["--prove", "--runtime"],            // mixed modes
+        &["--state-budget", "4"],             // prove flag without --prove
+        &["--workers", "2"],                  // runtime flag without --runtime
+        &["--runtime", "--dag-width", "8"],   // retired with BON056
+        &["--runtime", "--detach"],           // retired with BON053
+        &["--runtime", "--no-close-on-drop"], // retired with BON052
+        &["--prove", "--dump-graph", "dot"],  // prove vs dump
         &["--prove", "--assume-throughput", "nan"],
     ] {
         let out = lint(args);

@@ -221,10 +221,6 @@ pub mod codes {
     pub const RUNTIME_QUEUE_ZERO: &str = "BON050";
     /// Pass workers exceed the merge groups any pass can offer.
     pub const RUNTIME_WORKERS_EXCEED_GROUPS: &str = "BON051";
-    /// Drop joins workers without closing the queue first (wedge).
-    pub const RUNTIME_JOIN_WITHOUT_CLOSE: &str = "BON052";
-    /// Drop leaks detached worker threads (join disabled).
-    pub const RUNTIME_UNJOINED_WORKERS: &str = "BON053";
     /// Worker × pass-worker product oversubscribes the host cores.
     pub const RUNTIME_OVERSUBSCRIBED: &str = "BON054";
     /// Queue depth below the worker count starves the pool.
@@ -436,16 +432,6 @@ pub mod codes {
             code: RUNTIME_WORKERS_EXCEED_GROUPS,
             severity: Severity::Warning,
             summary: "pass workers exceed available merge groups",
-        },
-        CodeInfo {
-            code: RUNTIME_JOIN_WITHOUT_CLOSE,
-            severity: Severity::Error,
-            summary: "drop joins workers without closing the queue",
-        },
-        CodeInfo {
-            code: RUNTIME_UNJOINED_WORKERS,
-            severity: Severity::Warning,
-            summary: "drop leaks detached worker threads",
         },
         CodeInfo {
             code: RUNTIME_OVERSUBSCRIBED,
@@ -884,21 +870,18 @@ pub fn check_presort(chunk: usize, batch_records: usize) -> Vec<Diagnostic> {
 }
 
 /// Check the parallel runtime's thread/queue topology. Emits `BON050`,
-/// `BON052`, `BON053`, `BON054`, `BON055`.
+/// `BON054`, `BON055`.
 ///
 /// `workers` and `pass_workers` follow the runtime convention that `0`
 /// means "one per core"; `cores` is the host core count used to resolve
 /// them (and the oversubscription bound). `producers` is the number of
-/// threads submitting jobs concurrently. `close_on_drop` /
-/// `join_on_drop` describe the runtime's shutdown-on-drop behavior.
+/// threads submitting jobs concurrently.
 #[must_use]
 pub fn check_runtime_shape(
     workers: usize,
     pass_workers: usize,
     queue_depth: usize,
     producers: usize,
-    close_on_drop: bool,
-    join_on_drop: bool,
     cores: usize,
 ) -> Vec<Diagnostic> {
     let cores = cores.max(1);
@@ -918,27 +901,6 @@ pub fn check_runtime_shape(
             )
             .with("queue_depth", queue_depth)
             .with("producers", producers),
-        );
-    }
-    if join_on_drop && !close_on_drop {
-        out.push(
-            Diagnostic::error(
-                codes::RUNTIME_JOIN_WITHOUT_CLOSE,
-                "dropping the runtime would join workers that are still parked in pop \
-                 because the queue is never closed; drop wedges forever",
-            )
-            .with("close_on_drop", close_on_drop)
-            .with("join_on_drop", join_on_drop),
-        );
-    }
-    if !join_on_drop {
-        out.push(
-            Diagnostic::warning(
-                codes::RUNTIME_UNJOINED_WORKERS,
-                "dropping the runtime without joining leaks detached worker threads; \
-                 they may outlive the results they write to",
-            )
-            .with("join_on_drop", join_on_drop),
         );
     }
     if resolved_workers * resolved_pass_workers > cores {
@@ -1106,7 +1068,7 @@ mod tests {
         assert!(check_bram_budget(1 << 20, 1 << 21).is_empty());
         assert!(check_copies(1, 2).is_empty());
         assert!(check_presort(16, 1024).is_empty());
-        assert!(check_runtime_shape(2, 1, 16, 1, true, true, 8).is_empty());
+        assert!(check_runtime_shape(2, 1, 16, 1, 8).is_empty());
         assert!(check_pass_sharding(2, 8).is_empty());
     }
 }

@@ -388,27 +388,17 @@ fn runtime_shape(
     pass_workers: usize,
     queue_depth: usize,
     producers: usize,
-    close_on_drop: bool,
-    join_on_drop: bool,
 ) -> Vec<Diagnostic> {
-    bonsai_check::check_runtime_shape(
-        workers,
-        pass_workers,
-        queue_depth,
-        producers,
-        close_on_drop,
-        join_on_drop,
-        8,
-    )
+    bonsai_check::check_runtime_shape(workers, pass_workers, queue_depth, producers, 8)
 }
 
 #[test]
 fn bon050_zero_depth_queue_with_concurrent_producers() {
-    let diags = runtime_shape(2, 1, 0, 4, true, true);
+    let diags = runtime_shape(2, 1, 0, 4);
     assert_emits(&diags, codes::RUNTIME_QUEUE_ZERO);
     assert!(has_errors(&diags));
     // A single producer may choose an unbuffered hand-off.
-    assert!(runtime_shape(2, 1, 0, 1, true, true).is_empty());
+    assert!(runtime_shape(2, 1, 0, 1).is_empty());
 }
 
 #[test]
@@ -431,37 +421,22 @@ fn bon051_pass_workers_beyond_merge_groups() {
 }
 
 #[test]
-fn bon052_join_without_close_wedges_drop() {
-    let diags = runtime_shape(2, 1, 16, 1, false, true);
-    assert_emits(&diags, codes::RUNTIME_JOIN_WITHOUT_CLOSE);
-    assert!(has_errors(&diags));
-}
-
-#[test]
-fn bon053_unjoined_workers_leak() {
-    // close_on_drop stays on, so only the leak warning fires.
-    let diags = runtime_shape(2, 1, 16, 1, true, false);
-    assert_emits(&diags, codes::RUNTIME_UNJOINED_WORKERS);
-    assert!(!has_errors(&diags));
-}
-
-#[test]
 fn bon054_oversubscribed_host() {
-    let diags = runtime_shape(4, 4, 16, 1, true, true);
+    let diags = runtime_shape(4, 4, 16, 1);
     assert_emits(&diags, codes::RUNTIME_OVERSUBSCRIBED);
     assert!(!has_errors(&diags));
     // `0` sentinels resolve to the core count: all-cores workers with
     // more-than-one pass worker each oversubscribes too.
-    let diags = runtime_shape(0, 2, 16, 1, true, true);
+    let diags = runtime_shape(0, 2, 16, 1);
     assert_emits(&diags, codes::RUNTIME_OVERSUBSCRIBED);
 }
 
 #[test]
 fn bon055_queue_shallower_than_pool() {
-    let diags = runtime_shape(8, 1, 2, 1, true, true);
+    let diags = runtime_shape(8, 1, 2, 1);
     assert_emits(&diags, codes::RUNTIME_QUEUE_BELOW_WORKERS);
     assert!(!has_errors(&diags));
-    assert!(runtime_shape(8, 1, 8, 1, true, true).is_empty());
+    assert!(runtime_shape(8, 1, 8, 1).is_empty());
 }
 
 // --- Adaptive-runtime codes (BON08x) ----------------------------------

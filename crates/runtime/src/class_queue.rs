@@ -1,10 +1,12 @@
-//! A two-lane, class-aware bounded queue for the adaptive scheduler.
+//! The runtime's job queue: a two-lane, class-aware bounded MPMC queue
+//! built on `Mutex` + `Condvar`.
 //!
-//! [`ClassQueue`] carries the same blocking push/pop/close protocol as
-//! [`BoundedQueue`](crate::BoundedQueue) — one capacity shared by both
-//! lanes, backpressure on push, broadcast wakeup on close — but `pop`
-//! prefers the **latency** lane: small deadline-bound jobs overtake the
-//! queue position of large throughput-class jobs without preempting one
+//! [`ClassQueue`] is the backpressure seam of the batch runtime: one
+//! capacity shared by both lanes, so a producer calling
+//! [`ClassQueue::push`] on a full queue blocks until a worker drains a
+//! slot, and `close` is a broadcast wakeup. `pop` prefers the
+//! **latency** lane: small deadline-bound jobs overtake the queue
+//! position of large throughput-class jobs without preempting one
 //! already running.
 //!
 //! Pure priority starves the throughput lane under a steady latency
@@ -13,22 +15,26 @@
 //! waits, one throughput job is dispatched regardless. A `stride` of 0
 //! keeps pure priority.
 //!
-//! Items name their own lane via [`Classed`], so the queue slots into
-//! the generic [`WorkerPool`](crate::WorkerPool) behind the same
-//! [`PoolQueue`](crate::pool::PoolQueue) interface as the FIFO queue.
-//! When every item reports [`JobClass::Latency`] — what the runtime's
-//! fixed scheduler does — the queue *is* a FIFO: one lane, zero
-//! reordering, identical observable behavior.
+//! Items name their own lane via [`Classed`]. When every item reports
+//! [`JobClass::Latency`] — what the runtime's fixed scheduler does —
+//! the queue *is* a FIFO: one lane, zero reordering.
 //!
-//! Like the FIFO queue, the queue is generic over the [`SyncOps`]
-//! facade; `tests/mc_class_queue.rs` model-checks the protocol and the
+//! The queue is generic over a [`SyncOps`] facade: production builds
+//! use [`StdSync`] (plain `std::sync`, the default type parameter, zero
+//! overhead), while `tests/mc_class_queue.rs` instantiates it with
+//! `bonsai_mc::sync::McSync` to model-check the protocol and the
 //! starvation bound under every interleaving.
 
 use std::collections::VecDeque;
 
 use bonsai_mc::facade::{StdSync, SyncOps};
 
-use crate::queue::PushError;
+/// Why [`ClassQueue::push`] did not enqueue.
+#[derive(Debug, PartialEq, Eq)]
+pub enum PushError<T> {
+    /// The queue was closed; the item is handed back.
+    Closed(T),
+}
 
 /// Scheduling class of one job: which lane of the [`ClassQueue`] it
 /// waits in.
@@ -109,12 +115,6 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
         }
     }
 
-    /// The configured capacity (shared by both lanes).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Items currently queued across both lanes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -141,29 +141,6 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
         });
         if guard.closed {
             return Err(PushError::Closed(item));
-        }
-        match item.job_class() {
-            JobClass::Latency => guard.latency.push_back(item),
-            JobClass::Throughput => guard.throughput.push_back(item),
-        }
-        drop(guard);
-        S::notify_one(&self.not_empty);
-        Ok(())
-    }
-
-    /// Enqueues `item` without blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`ClassQueue::close`]; both hand the item back.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut guard = S::lock(&self.state);
-        if guard.closed {
-            return Err(PushError::Closed(item));
-        }
-        if guard.len() >= self.capacity {
-            return Err(PushError::Full(item));
         }
         match item.job_class() {
             JobClass::Latency => guard.latency.push_back(item),
@@ -208,8 +185,9 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
     /// and blocked poppers wake up to observe the shutdown.
     pub fn close(&self) {
         S::lock(&self.state).closed = true;
-        // Broadcast, exactly like `BoundedQueue::close`: every parked
-        // producer and consumer must observe `closed`.
+        // Shutdown is a broadcast: every parked producer and consumer
+        // must observe `closed`, so `notify_one` would be a lost-wakeup
+        // bug here (`tests/mc_class_queue.rs`'s mutation test proves it).
         S::notify_all(&self.not_empty);
         S::notify_all(&self.not_full);
     }
@@ -250,8 +228,8 @@ mod tests {
 
     #[test]
     fn all_latency_items_are_plain_fifo() {
-        // The non-adaptive runtime tags everything Latency: the queue
-        // must then be indistinguishable from the FIFO BoundedQueue.
+        // The fixed scheduler tags everything Latency: the queue must
+        // then be a plain FIFO.
         let q = ClassQueue::<Item>::new(8, 4);
         for i in 0..5 {
             q.push(lat(i)).unwrap();
@@ -294,12 +272,13 @@ mod tests {
         let q = Arc::new(ClassQueue::<Item>::new(2, 4));
         q.push(thr(100)).unwrap();
         q.push(lat(1)).unwrap();
-        assert!(matches!(q.try_push(lat(2)), Err(PushError::Full(_))));
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || q.push(lat(2)))
         };
-        // The producer is blocked until this pop frees a slot.
+        // The producer is blocked until this pop frees a slot. That the
+        // capacity is shared by both lanes holds on every schedule:
+        // `tests/mc_class_queue.rs` checks it through a capacity-1 queue.
         assert_eq!(q.pop(), Some(lat(1)));
         producer.join().unwrap().unwrap();
         assert_eq!(q.len(), 2);

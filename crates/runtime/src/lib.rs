@@ -4,7 +4,7 @@
 //! host has two axes of parallelism to spend:
 //!
 //! - **across jobs** — independent sorts run on a pool of worker
-//!   threads fed by a [`BoundedQueue`], whose bounded depth gives
+//!   threads fed by a [`ClassQueue`], whose bounded depth gives
 //!   submitters backpressure instead of unbounded buffering;
 //! - **within a job** — each worker drives
 //!   [`SimEngine::try_sort_sharded`], which can further shard every
@@ -32,8 +32,9 @@
 //!
 //! The queue and pool are generic over the `bonsai_mc` sync facade:
 //! production builds monomorphize to plain `std::sync` (zero overhead),
-//! while `tests/mc_queue.rs` instantiates the same code with the model
-//! checker's shims and exhaustively explores the shutdown protocols.
+//! while `tests/mc_class_queue.rs` instantiates the same code with the
+//! model checker's shims and exhaustively explores the shutdown
+//! protocols.
 //! Static shape checks for [`RuntimeConfig`] live in
 //! [`bonsai_check::check_runtime_shape`] (BON05x) and are surfaced by
 //! `bonsai-lint --runtime`.
@@ -63,7 +64,6 @@
 mod adaptive;
 mod class_queue;
 mod pool;
-mod queue;
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -74,9 +74,8 @@ use bonsai_records::Record;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveStats};
 pub use bonsai_mc::facade::{StdSync, SyncOps};
-pub use class_queue::{ClassQueue, Classed, JobClass};
-pub use pool::{PoolQueue, WorkerPool};
-pub use queue::{BoundedQueue, PushError};
+pub use class_queue::{ClassQueue, Classed, JobClass, PushError};
+pub use pool::WorkerPool;
 
 use adaptive::AdaptiveState;
 
@@ -145,14 +144,6 @@ pub struct RuntimeConfig {
     /// queue depth; the runtime itself accepts any number of
     /// submitters.
     pub producers: usize,
-    /// Whether dropping the runtime without [`Runtime::finish`] closes
-    /// the job queue first (default `true`). Disabling this while
-    /// `join_on_drop` stays on deadlocks the drop (BON052).
-    pub close_on_drop: bool,
-    /// Whether dropping the runtime without [`Runtime::finish`] joins
-    /// the workers (default `true`). Disabling this leaks detached
-    /// threads (BON053).
-    pub join_on_drop: bool,
     /// Knobs of the adaptive scheduler (shape cache size, small-job
     /// cutoff, reprogram cost, deadline, fairness stride). Only
     /// consulted when [`RuntimeConfig::scheduler`] is
@@ -170,8 +161,6 @@ impl Default for RuntimeConfig {
             max_pass_cycles: None,
             reference_loop: None,
             producers: 1,
-            close_on_drop: true,
-            join_on_drop: true,
             adaptive: AdaptiveConfig::default(),
         }
     }
@@ -198,8 +187,6 @@ impl RuntimeConfig {
             self.pass_workers,
             self.queue_depth,
             self.producers,
-            self.close_on_drop,
-            self.join_on_drop,
             cores,
         );
         if let (Some(engine), Some(records)) = (engine, records) {
@@ -459,9 +446,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// result through the caller's channel the moment they complete
 /// instead, so a long-lived service never has to consume the runtime to
 /// observe results. Dropping the runtime without `finish` also closes
-/// the queue and joins the workers (per
-/// [`RuntimeConfig::close_on_drop`] / [`RuntimeConfig::join_on_drop`]),
-/// discarding any collected results.
+/// the queue and joins the workers, discarding any collected results.
 #[derive(Debug)]
 pub struct Runtime<R: Record> {
     config: RuntimeConfig,
@@ -475,8 +460,7 @@ pub struct Runtime<R: Record> {
     //
     // Both schedulers drain the two-lane class queue: the fixed one tags
     // all jobs latency-class, which makes it an exact FIFO.
-    #[allow(clippy::type_complexity)]
-    pool: WorkerPool<Dispatch<R>, Option<JobResult<R>>, StdSync, ClassQueue<Dispatch<R>, StdSync>>,
+    pool: WorkerPool<Dispatch<R>, Option<JobResult<R>>>,
 }
 
 impl<R: Record> Runtime<R> {
@@ -524,9 +508,7 @@ impl<R: Record> Runtime<R> {
             }
         };
         let queue = ClassQueue::new(config.queue_depth, config.adaptive.fairness_stride);
-        let mut pool = WorkerPool::start_with_queue(workers, queue, runner);
-        pool.close_on_drop(config.close_on_drop)
-            .join_on_drop(config.join_on_drop);
+        let pool = WorkerPool::start(workers, queue, runner);
         Self {
             config,
             next_ticket: std::sync::atomic::AtomicU64::new(0),
@@ -591,11 +573,7 @@ impl<R: Record> Runtime<R> {
             reply,
         }) {
             Ok(()) => Ok(ticket),
-            // The blocking push only ever fails Closed; hand the job
-            // back instead of dropping (or panicking over) it.
-            Err(PushError::Closed(d) | PushError::Full(d)) => {
-                Err(SubmitError::Closed(Box::new(d.job)))
-            }
+            Err(PushError::Closed(d)) => Err(SubmitError::Closed(Box::new(d.job))),
         }
     }
 
@@ -629,35 +607,6 @@ impl<R: Record> Runtime<R> {
         reply: std::sync::mpsc::Sender<JobResult<R>>,
     ) -> Result<u64, SubmitError<R>> {
         self.dispatch(job, Some(reply))
-    }
-
-    /// Submits a job without blocking; returns its submission ticket.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] hands the job back when the queue is at
-    /// capacity (retry or apply backpressure upstream),
-    /// [`PushError::Closed`] after [`Runtime::close`].
-    // The large Err is the point: the rejected job (with its data)
-    // returns to the caller instead of being dropped.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, job: SortJob<R>) -> Result<u64, PushError<SortJob<R>>> {
-        let ticket = self
-            .next_ticket
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let class = self.classify(job.data.len());
-        self.pool
-            .try_submit(Dispatch {
-                ticket,
-                job,
-                class,
-                reply: None,
-            })
-            .map(|()| ticket)
-            .map_err(|e| match e {
-                PushError::Full(d) => PushError::Full(d.job),
-                PushError::Closed(d) => PushError::Closed(d.job),
-            })
     }
 
     /// Closes the job queue without consuming the runtime: queued jobs
@@ -963,8 +912,8 @@ mod tests {
             runtime
                 .submit(SortJob::new(0, dram_cfg(), data))
                 .expect("runtime open");
-            // Dropped without finish: close_on_drop unparks any worker
-            // still waiting in pop, join_on_drop reclaims both threads.
+            // Dropped without finish: the close unparks any worker still
+            // waiting in pop, the join reclaims both threads.
         }
         // Other tests run concurrently in this process, so poll for the
         // count to come back down instead of demanding instant equality.

@@ -1,6 +1,6 @@
 //! Randomized contention stress for the queue and the batch runtime.
 //!
-//! The model checker (`tests/mc_queue.rs`) proves the protocols correct
+//! The model checker (`tests/mc_class_queue.rs`) proves the protocols correct
 //! at small sizes; these tests hammer the real `std::sync` build at
 //! realistic sizes — many producers and consumers, randomized pacing
 //! from `bonsai-rng`, worker counts 1 / 2 / all-cores, fused and
@@ -16,7 +16,7 @@ use bonsai_amt::{AmtConfig, SimEngineConfig};
 use bonsai_gensort::dist::uniform_u32;
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
-use bonsai_runtime::{BoundedQueue, Runtime, RuntimeConfig, SortJob};
+use bonsai_runtime::{ClassQueue, Classed, JobClass, Runtime, RuntimeConfig, SortJob};
 
 /// Fails the test if `f` has not finished within `secs` seconds — the
 /// watchdog that turns a concurrency wedge into a fast, attributable
@@ -38,9 +38,20 @@ fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Randomized MPMC churn through one queue: every pushed value must be
-/// popped exactly once, across a grid of producer/consumer counts and
-/// queue depths, with random per-thread pacing.
+/// A stress payload tagged with a random lane.
+#[derive(Debug)]
+struct Tagged(u64, JobClass);
+
+impl Classed for Tagged {
+    fn job_class(&self) -> JobClass {
+        self.1
+    }
+}
+
+/// Randomized MPMC churn through one class queue: every pushed value
+/// must be popped exactly once, across a grid of producer/consumer
+/// counts, queue depths and fairness strides, with a random lane per
+/// item and random per-thread pacing.
 #[test]
 fn queue_contention_roundtrip_under_randomized_pacing() {
     with_watchdog("queue_contention_roundtrip", 60, || {
@@ -49,8 +60,9 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
             let producers = rng.range_usize(1, 5);
             let consumers = rng.range_usize(1, 5);
             let depth = rng.range_usize(1, 9);
+            let stride = rng.range_usize(0, 5) as u32;
             let per_producer = 200;
-            let queue = Arc::new(BoundedQueue::<u64>::new(depth));
+            let queue = Arc::new(ClassQueue::<Tagged>::new(depth, stride));
             let popped_sum = Arc::new(AtomicUsize::new(0));
             let popped_count = Arc::new(AtomicUsize::new(0));
 
@@ -60,7 +72,7 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
                     let sum = Arc::clone(&popped_sum);
                     let count = Arc::clone(&popped_count);
                     std::thread::spawn(move || {
-                        while let Some(v) = queue.pop() {
+                        while let Some(Tagged(v, _)) = queue.pop() {
                             sum.fetch_add(v as usize, Ordering::Relaxed);
                             count.fetch_add(1, Ordering::Relaxed);
                         }
@@ -74,7 +86,14 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
                     std::thread::spawn(move || {
                         for i in 0..per_producer {
                             let value = (p * per_producer + i) as u64 + 1;
-                            queue.push(value).expect("closed only after producers");
+                            let class = if rng.chance_percent(50) {
+                                JobClass::Throughput
+                            } else {
+                                JobClass::Latency
+                            };
+                            queue
+                                .push(Tagged(value, class))
+                                .expect("closed only after producers");
                             if rng.chance_percent(10) {
                                 std::thread::yield_now();
                             }
@@ -95,7 +114,8 @@ fn queue_contention_roundtrip_under_randomized_pacing() {
             assert_eq!(
                 popped_sum.load(Ordering::Relaxed),
                 n * (n + 1) / 2,
-                "round {round}: {producers}p/{consumers}c depth {depth} lost or duplicated items"
+                "round {round}: {producers}p/{consumers}c depth {depth} stride {stride} \
+                 lost or duplicated items"
             );
         }
     });

@@ -71,12 +71,20 @@ impl ExternalSorter {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; fails with `InvalidData` on ragged files.
+    /// Propagates I/O errors; fails with `InvalidData`, before writing
+    /// anything, when the file length is not a multiple of the record
+    /// width.
     pub fn sort_file<R: WireRecord>(
         &self,
         input: &Path,
         output: &Path,
     ) -> io::Result<ExternalSortStats> {
+        if fs::metadata(input)?.len() % R::WIRE_BYTES as u64 != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "file length is not a multiple of the record width",
+            ));
+        }
         fs::create_dir_all(&self.scratch_dir)?;
         let result = self.sort_file_inner::<R>(input, output);
         let _ = fs::remove_dir_all(&self.scratch_dir);
@@ -299,6 +307,23 @@ mod tests {
         assert_eq!(fs::metadata(&output).expect("exists").len(), 0);
         fs::remove_file(&input).ok();
         fs::remove_file(&output).ok();
+    }
+
+    #[test]
+    fn ragged_input_fails_before_writing_output() {
+        // 5 whole u32 records plus a 3-byte tail.
+        let input = tmp("ragged-in");
+        let output = tmp("ragged-out");
+        let scratch = tmp("ragged-scratch");
+        fs::write(&input, [7u8; 23]).expect("write");
+        let sorter = ExternalSorter::new(1024, 4).with_scratch_dir(scratch.clone());
+        let err = sorter
+            .sort_file::<U32Rec>(&input, &output)
+            .expect_err("a ragged tail must not be dropped silently");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!output.exists(), "no output on a rejected input");
+        assert!(!scratch.exists(), "no scratch files on a rejected input");
+        fs::remove_file(&input).ok();
     }
 
     #[test]

@@ -191,6 +191,13 @@ fn cmd_sort(flags: &Flags) -> Result<(), String> {
         .unwrap_or("256")
         .parse()
         .map_err(|e| format!("bad --fan-in: {e}"))?;
+    // `ExternalSorter::new` panics on these; reject them as usage errors.
+    if budget == 0 {
+        return Err("--mem-budget must be positive".into());
+    }
+    if fan_in < 2 {
+        return Err(format!("--fan-in must be at least 2, got {fan_in}"));
+    }
     let sorter = ExternalSorter::new(budget, fan_in);
     let stats = match flags.get("format").unwrap_or("u32") {
         "u32" => sorter.sort_file::<U32Rec>(&input, &output),
