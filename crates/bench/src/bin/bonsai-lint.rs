@@ -26,11 +26,6 @@
 //! bonsai-lint --runtime                         # lint in-repo topologies
 //! bonsai-lint --runtime --queue-depth 0 --producers 2   # BON050
 //! bonsai-lint --runtime --workers 4 --pass-workers 4 --cores 4  # BON054
-//! bonsai-lint --runtime --reprogram-us 0        # BON080: shape thrash
-//! bonsai-lint --runtime --deadline-us 100 --reprogram-us 200
-//!                                               # BON081: deadline infeasible
-//! bonsai-lint --runtime --cache-shapes 1 --shape-classes 2      # BON082
-//! bonsai-lint --runtime --fairness-stride 0     # BON083: starvation
 //! ```
 //!
 //! `--prove` switches to the BON06x occupancy-reachability pass: the
@@ -49,9 +44,7 @@
 
 use bonsai_amt::graph::{lower_to_graph, LowerOptions};
 use bonsai_amt::prove::{net_from_config, NetOptions};
-use bonsai_bench::lint::{
-    self, LintFinding, ProveLintOptions, RawAdaptiveLint, RawEngineLint, RawRuntimeLint,
-};
+use bonsai_bench::lint::{self, LintFinding, ProveLintOptions, RawEngineLint, RawRuntimeLint};
 use bonsai_check::prove::certificate_selftest;
 use bonsai_memsim::MemoryConfig;
 use std::process::ExitCode;
@@ -76,11 +69,6 @@ struct Overrides {
     producers: Option<usize>,
     cores: Option<usize>,
     records: Option<usize>,
-    cache_shapes: Option<usize>,
-    shape_classes: Option<usize>,
-    reprogram_us: Option<u64>,
-    deadline_us: Option<u64>,
-    fairness_stride: Option<u32>,
     prove: bool,
     prove_selftest: bool,
     state_budget: Option<usize>,
@@ -123,37 +111,16 @@ impl Overrides {
         }
     }
 
-    fn any_adaptive_config(&self) -> bool {
-        self.cache_shapes.is_some()
-            || self.shape_classes.is_some()
-            || self.reprogram_us.is_some()
-            || self.deadline_us.is_some()
-            || self.fairness_stride.is_some()
-    }
-
     fn any_runtime_config(&self) -> bool {
         self.workers.is_some()
             || self.pass_workers.is_some()
             || self.queue_depth.is_some()
             || self.producers.is_some()
             || self.records.is_some()
-            || self.any_adaptive_config()
     }
 
     fn raw_runtime(&self) -> RawRuntimeLint {
         let defaults = RawRuntimeLint::default();
-        // Any adaptive flag arms the BON08x pass; unset knobs keep the
-        // runtime's `AdaptiveConfig` defaults.
-        let adaptive = self.any_adaptive_config().then(|| {
-            let a = RawAdaptiveLint::default();
-            RawAdaptiveLint {
-                cache_shapes: self.cache_shapes.unwrap_or(a.cache_shapes),
-                shape_classes: self.shape_classes.unwrap_or(a.shape_classes),
-                reprogram_us: self.reprogram_us.unwrap_or(a.reprogram_us),
-                deadline_us: self.deadline_us.unwrap_or(a.deadline_us),
-                fairness_stride: self.fairness_stride.unwrap_or(a.fairness_stride),
-            }
-        });
         RawRuntimeLint {
             workers: self.workers.unwrap_or(defaults.workers),
             pass_workers: self.pass_workers.unwrap_or(defaults.pass_workers),
@@ -161,7 +128,6 @@ impl Overrides {
             producers: self.producers.unwrap_or(defaults.producers),
             cores: self.cores,
             records: self.records,
-            adaptive,
         }
     }
 
@@ -206,9 +172,7 @@ const USAGE: &str = "usage: bonsai-lint [--p N] [--l N] [--batch-bytes N] \
 [--memory ddr4|single|hbm|ssd] [--banks N] [--payload-bytes N] \
 [--json] [--dump-graph dot|json]
        bonsai-lint --runtime [--workers N] [--pass-workers N] \
-[--queue-depth N] [--producers N] [--cores N] [--records N] \
-[--cache-shapes N] [--shape-classes N] \
-[--reprogram-us N] [--deadline-us N] [--fairness-stride N] [--json]
+[--queue-depth N] [--producers N] [--cores N] [--records N] [--json]
        bonsai-lint --prove [engine flags] [--state-budget N] \
 [--credit-slack N] [--replay-records N] [--assume-throughput B/S] [--json]
        bonsai-lint --prove-selftest [engine flags] [--json]
@@ -234,21 +198,6 @@ judges one raw topology (docs/diagnostics.md, Runtime topology):
   --cores N          judge against an N-core host (default: this host)
   --records N        also bound pass-workers by the merge groups of an
                      N-record job on the reference DRAM engine (BON051)
-
-Any adaptive-scheduler flag additionally runs the BON08x knob checks
-(docs/diagnostics.md, Adaptive runtime); unset knobs keep the
-runtime's lint-clean `AdaptiveConfig` defaults:
-
-  --cache-shapes N    compiled-shape cache capacity (BON082)
-  --shape-classes N   job classes shapes are selected for (default 2:
-                      the latency and throughput lanes)
-  --reprogram-us N    modeled shape-switch cost in microseconds; 0 is
-                      the shape-thrash probe (BON080)
-  --deadline-us N     per-job latency deadline in microseconds, 0 =
-                      none; must exceed the reprogram cost (BON081)
-  --fairness-stride N latency-lane dispatches before a waiting
-                      throughput job runs; 0 is the starvation probe
-                      (BON083)
 
 `--prove` runs the BON06x occupancy-reachability pass: exhaustive
 explicit-state exploration of the configuration's bounded token net.
@@ -339,11 +288,6 @@ fn parse_args() -> Overrides {
             "--producers" => over.producers = Some(value("--producers") as usize),
             "--cores" => over.cores = Some(value("--cores") as usize),
             "--records" => over.records = Some(value("--records") as usize),
-            "--cache-shapes" => over.cache_shapes = Some(value("--cache-shapes") as usize),
-            "--shape-classes" => over.shape_classes = Some(value("--shape-classes") as usize),
-            "--reprogram-us" => over.reprogram_us = Some(value("--reprogram-us")),
-            "--deadline-us" => over.deadline_us = Some(value("--deadline-us")),
-            "--fairness-stride" => over.fairness_stride = Some(value("--fairness-stride") as u32),
             "--dump-graph" => {
                 over.dump_graph = Some(match args.next().as_deref() {
                     Some("dot") => DumpFormat::Dot,

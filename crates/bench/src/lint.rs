@@ -19,7 +19,7 @@ use bonsai_model::check::{
     model_drift_probe,
 };
 use bonsai_model::{ArrayParams, BonsaiOptimizer, ComponentLibrary, FullConfig, HardwareParams};
-use bonsai_runtime::{AdaptiveConfig, PassScheduler, RuntimeConfig};
+use bonsai_runtime::{PassScheduler, RuntimeConfig};
 
 use crate::experiments::fig8_9;
 
@@ -151,8 +151,7 @@ pub const REF_CORES: usize = 8;
 /// Every runtime topology the repo itself runs: the default shape,
 /// both ends of `runtime_smoke`'s serial-vs-parallel gate, and the
 /// adaptive-scheduler shape `perf_adaptive` and the
-/// `BONSAI_RUNTIME_SCHEDULER=adaptive` CI lane exercise (whose
-/// `validate_for_cores` additionally runs the BON08x knob checks).
+/// `BONSAI_RUNTIME_SCHEDULER=adaptive` CI lane exercise.
 pub fn runtime_targets() -> Vec<(String, RuntimeConfig)> {
     vec![
         ("runtime/default".into(), RuntimeConfig::default()),
@@ -392,45 +391,6 @@ pub struct RawRuntimeLint {
     /// `records`-record job on the paper's reference DRAM engine
     /// (`BON051`).
     pub records: Option<usize>,
-    /// When set, also run the BON08x adaptive-scheduler pass over these
-    /// knobs (the CLI arms this whenever any of `--cache-shapes`,
-    /// `--shape-classes`, `--reprogram-us`, `--deadline-us` or
-    /// `--fairness-stride` is given).
-    pub adaptive: Option<RawAdaptiveLint>,
-}
-
-/// The adaptive scheduler's knobs as raw CLI numbers, for the BON08x
-/// pass of `bonsai-lint --runtime`. Unlike `RuntimeConfig::validate*`
-/// (which always judges the runtime's own two job classes), this probe
-/// lets `--shape-classes` vary so CI can demonstrate the
-/// cache-below-classes warning (`BON082`) at any cache size.
-#[derive(Debug, Clone, Copy)]
-pub struct RawAdaptiveLint {
-    /// Compiled-shape cache capacity (`BON082`).
-    pub cache_shapes: usize,
-    /// Job classes the scheduler selects shapes for (`BON082`).
-    pub shape_classes: usize,
-    /// Modeled shape-switch cost in microseconds (`BON080`).
-    pub reprogram_us: u64,
-    /// Per-job latency deadline in microseconds, `0` = none (`BON081`).
-    pub deadline_us: u64,
-    /// Consecutive latency-lane dispatches before a waiting
-    /// throughput-class job runs, `0` = pure priority (`BON083`).
-    pub fairness_stride: u32,
-}
-
-impl Default for RawAdaptiveLint {
-    fn default() -> Self {
-        let defaults = AdaptiveConfig::default();
-        Self {
-            cache_shapes: defaults.cache_shapes,
-            // The two-lane runtime's class count (latency, throughput).
-            shape_classes: 2,
-            reprogram_us: defaults.reprogram_cost_us,
-            deadline_us: defaults.latency_deadline_us,
-            fairness_stride: defaults.fairness_stride,
-        }
-    }
 }
 
 impl Default for RawRuntimeLint {
@@ -443,7 +403,6 @@ impl Default for RawRuntimeLint {
             producers: defaults.producers,
             cores: None,
             records: None,
-            adaptive: None,
         }
     }
 }
@@ -466,21 +425,9 @@ impl RawRuntimeLint {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         let engine = SimEngineConfig::dram_sorter(AmtConfig::new(4, 16), 4);
-        let mut diagnostics =
+        let diagnostics =
             self.config()
                 .validate_for_engine(self.records.map(|_| &engine), self.records, cores);
-        // The adaptive scheduler's knob checks (BON08x), called
-        // directly rather than through an Adaptive `RuntimeConfig` so
-        // the probe's `--shape-classes` override is honored.
-        if let Some(a) = self.adaptive {
-            diagnostics.extend(bonsai_check::check_adaptive_runtime(
-                a.cache_shapes,
-                a.shape_classes,
-                a.reprogram_us,
-                a.deadline_us,
-                a.fairness_stride,
-            ));
-        }
         LintFinding {
             target: format!(
                 "cli/runtime_w{}_pw{}_q{}_prod{}",
@@ -792,81 +739,6 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == bonsai_check::codes::RUNTIME_WORKERS_EXCEED_GROUPS));
-    }
-
-    #[test]
-    fn raw_adaptive_lint_fires_the_bon08x_codes() {
-        let base = RawRuntimeLint {
-            cores: Some(8),
-            ..RawRuntimeLint::default()
-        };
-        let adaptive = |a: RawAdaptiveLint| {
-            RawRuntimeLint {
-                adaptive: Some(a),
-                ..base
-            }
-            .lint()
-        };
-
-        // The defaults are lint-clean, so arming the pass alone adds
-        // nothing.
-        let f = adaptive(RawAdaptiveLint::default());
-        assert!(f.diagnostics.is_empty(), "{:?}", f.diagnostics);
-
-        // Zero reprogram cost thrashes shapes: BON080 (warning).
-        let f = adaptive(RawAdaptiveLint {
-            reprogram_us: 0,
-            ..RawAdaptiveLint::default()
-        });
-        assert!(!f.has_errors());
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_RECONFIG_THRASH));
-
-        // Deadline not above the reprogram cost: BON081 (error).
-        let f = adaptive(RawAdaptiveLint {
-            deadline_us: 100,
-            reprogram_us: 200,
-            ..RawAdaptiveLint::default()
-        });
-        assert!(f.has_errors());
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_DEADLINE_INFEASIBLE));
-
-        // Cache below the stated class count: BON082 (warning) — the
-        // --shape-classes override is what makes this reachable at any
-        // cache size.
-        let f = adaptive(RawAdaptiveLint {
-            cache_shapes: 8,
-            shape_classes: 9,
-            ..RawAdaptiveLint::default()
-        });
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_CACHE_BELOW_CLASSES));
-
-        // Zero fairness stride starves the throughput lane: BON083
-        // (warning).
-        let f = adaptive(RawAdaptiveLint {
-            fairness_stride: 0,
-            ..RawAdaptiveLint::default()
-        });
-        assert!(f
-            .diagnostics
-            .iter()
-            .any(|d| d.code == bonsai_check::codes::ADAPTIVE_FAIRNESS_STARVATION));
-
-        // An un-armed lint of the same base topology stays BON08x-free.
-        let f = base.lint();
-        assert!(
-            !f.diagnostics.iter().any(|d| d.code.starts_with("BON08")),
-            "{:?}",
-            f.diagnostics
-        );
     }
 
     #[test]

@@ -109,7 +109,13 @@ fn usage_errors_exit_two() {
         &["--runtime", "--dag-width", "8"],   // retired with BON056
         &["--runtime", "--detach"],           // retired with BON053
         &["--runtime", "--no-close-on-drop"], // retired with BON052
-        &["--prove", "--dump-graph", "dot"],  // prove vs dump
+        // The adaptive scheduler's knobs are constants, not flags.
+        &["--runtime", "--cache-shapes", "8"],
+        &["--runtime", "--shape-classes", "2"],
+        &["--runtime", "--reprogram-us", "200"],
+        &["--runtime", "--deadline-us", "1000"],
+        &["--runtime", "--fairness-stride", "4"],
+        &["--prove", "--dump-graph", "dot"], // prove vs dump
         &["--prove", "--assume-throughput", "nan"],
     ] {
         let out = lint(args);

@@ -264,21 +264,6 @@ pub mod codes {
     /// underlying diagnostic text.
     pub const WIRE_JOB_FAILED: &str = "BON077";
 
-    // --- BON08x: adaptive runtime ---------------------------------------
-
-    /// Zero reprogram cost disables the keep-vs-switch comparison: the
-    /// planner chases the per-job optimum and thrashes shapes.
-    pub const ADAPTIVE_RECONFIG_THRASH: &str = "BON080";
-    /// The latency deadline is no larger than the reprogram cost, so
-    /// any job that needs a shape switch has already missed it.
-    pub const ADAPTIVE_DEADLINE_INFEASIBLE: &str = "BON081";
-    /// The compiled-shape cache holds fewer shapes than the scheduler's
-    /// job classes; the classes evict each other on every alternation.
-    pub const ADAPTIVE_CACHE_BELOW_CLASSES: &str = "BON082";
-    /// A zero fairness stride lets latency-class jobs starve the
-    /// throughput lane indefinitely.
-    pub const ADAPTIVE_FAIRNESS_STARVATION: &str = "BON083";
-
     // --- BON03x: pipeline-graph analyses --------------------------------
 
     /// The pipeline graph can deadlock (zero-credit edge or dataflow
@@ -512,26 +497,6 @@ pub mod codes {
             code: WIRE_JOB_FAILED,
             severity: Severity::Error,
             summary: "accepted job failed server-side",
-        },
-        CodeInfo {
-            code: ADAPTIVE_RECONFIG_THRASH,
-            severity: Severity::Warning,
-            summary: "zero reprogram cost makes the planner thrash shapes",
-        },
-        CodeInfo {
-            code: ADAPTIVE_DEADLINE_INFEASIBLE,
-            severity: Severity::Error,
-            summary: "latency deadline not larger than the reprogram cost",
-        },
-        CodeInfo {
-            code: ADAPTIVE_CACHE_BELOW_CLASSES,
-            severity: Severity::Warning,
-            summary: "shape cache smaller than the scheduler's job classes",
-        },
-        CodeInfo {
-            code: ADAPTIVE_FAIRNESS_STARVATION,
-            severity: Severity::Warning,
-            summary: "zero fairness stride starves the throughput lane",
         },
         CodeInfo {
             code: GRAPH_DEADLOCK,
@@ -951,69 +916,6 @@ pub fn check_pass_sharding(pass_workers: usize, max_groups: usize) -> Vec<Diagno
     } else {
         Vec::new()
     }
-}
-
-/// Check the adaptive scheduler's knobs (`BON080`–`BON083`).
-///
-/// `cache_shapes` is the compiled-shape cache capacity, `shape_classes`
-/// the number of distinct job classes the scheduler selects shapes for
-/// (the two-lane runtime has 2: latency and throughput),
-/// `reprogram_cost_us` the modeled shape-switch cost,
-/// `latency_deadline_us` the per-job deadline (`0` = none) and
-/// `fairness_stride` how many consecutive latency-lane jobs may run
-/// while the throughput lane waits (`0` = pure priority).
-#[must_use]
-pub fn check_adaptive_runtime(
-    cache_shapes: usize,
-    shape_classes: usize,
-    reprogram_cost_us: u64,
-    latency_deadline_us: u64,
-    fairness_stride: u32,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if reprogram_cost_us == 0 {
-        out.push(
-            Diagnostic::warning(
-                codes::ADAPTIVE_RECONFIG_THRASH,
-                "a zero reprogram cost disables the keep-vs-switch comparison; the \
-                 planner reprograms to every job's optimum and thrashes shapes",
-            )
-            .with("reprogram_cost_us", reprogram_cost_us),
-        );
-    }
-    if latency_deadline_us > 0 && reprogram_cost_us >= latency_deadline_us {
-        out.push(
-            Diagnostic::error(
-                codes::ADAPTIVE_DEADLINE_INFEASIBLE,
-                "the latency deadline is not larger than the reprogram cost; any job \
-                 whose shape must switch has missed its deadline before sorting starts",
-            )
-            .with("latency_deadline_us", latency_deadline_us)
-            .with("reprogram_cost_us", reprogram_cost_us),
-        );
-    }
-    if cache_shapes < shape_classes {
-        out.push(
-            Diagnostic::warning(
-                codes::ADAPTIVE_CACHE_BELOW_CLASSES,
-                "the compiled-shape cache holds fewer shapes than the scheduler's job \
-                 classes; alternating classes evict each other and every lookup misses",
-            )
-            .with("cache_shapes", cache_shapes)
-            .with("shape_classes", shape_classes),
-        );
-    }
-    if fairness_stride == 0 {
-        out.push(
-            Diagnostic::warning(
-                codes::ADAPTIVE_FAIRNESS_STARVATION,
-                "a zero fairness stride never yields the queue to the throughput lane; \
-                 a steady latency-class stream starves large jobs indefinitely",
-            )
-            .with("fairness_stride", fairness_stride),
-        );
-    }
-    out
 }
 
 #[cfg(test)]

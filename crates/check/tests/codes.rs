@@ -439,81 +439,6 @@ fn bon055_queue_shallower_than_pool() {
     assert!(runtime_shape(8, 1, 8, 1).is_empty());
 }
 
-// --- Adaptive-runtime codes (BON08x) ----------------------------------
-
-/// Shorthand: adaptive knobs with 2 job classes (the two-lane runtime).
-fn adaptive(
-    cache_shapes: usize,
-    reprogram_cost_us: u64,
-    latency_deadline_us: u64,
-    fairness_stride: u32,
-) -> Vec<Diagnostic> {
-    bonsai_check::check_adaptive_runtime(
-        cache_shapes,
-        2,
-        reprogram_cost_us,
-        latency_deadline_us,
-        fairness_stride,
-    )
-}
-
-#[test]
-fn bon080_zero_reprogram_cost_thrashes() {
-    let diags = adaptive(8, 0, 0, 4);
-    assert_emits(&diags, codes::ADAPTIVE_RECONFIG_THRASH);
-    assert!(!has_errors(&diags), "thrash wastes time, not correctness");
-    assert!(adaptive(8, 200, 0, 4).is_empty());
-}
-
-#[test]
-fn bon081_deadline_not_above_reprogram_cost() {
-    // Deadline == cost: one switch in front of the job already misses.
-    let diags = adaptive(8, 500, 500, 4);
-    assert_emits(&diags, codes::ADAPTIVE_DEADLINE_INFEASIBLE);
-    assert!(has_errors(&diags));
-    // A deadline above the cost, or no deadline at all, is fine.
-    assert!(adaptive(8, 200, 500, 4).is_empty());
-    assert!(adaptive(8, 500, 0, 4).is_empty());
-}
-
-#[test]
-fn bon082_cache_below_job_classes() {
-    let diags = adaptive(1, 200, 0, 4);
-    assert_emits(&diags, codes::ADAPTIVE_CACHE_BELOW_CLASSES);
-    assert!(!has_errors(&diags));
-    assert!(adaptive(2, 200, 0, 4).is_empty());
-}
-
-#[test]
-fn bon083_zero_fairness_stride_starves() {
-    let diags = adaptive(8, 200, 0, 0);
-    assert_emits(&diags, codes::ADAPTIVE_FAIRNESS_STARVATION);
-    assert!(!has_errors(&diags));
-    assert!(adaptive(8, 200, 0, 1).is_empty());
-}
-
-#[test]
-fn adaptive_codes_fire_through_the_runtime_config() {
-    // The BON08x checks only run for the adaptive scheduler...
-    let mut cfg = bonsai_runtime::RuntimeConfig {
-        scheduler: bonsai_runtime::PassScheduler::Adaptive,
-        ..bonsai_runtime::RuntimeConfig::default()
-    };
-    cfg.adaptive.reprogram_cost_us = 0;
-    cfg.adaptive.fairness_stride = 0;
-    let diags = cfg.validate_for_cores(8);
-    assert_emits(&diags, codes::ADAPTIVE_RECONFIG_THRASH);
-    assert_emits(&diags, codes::ADAPTIVE_FAIRNESS_STARVATION);
-    // ...and the default adaptive knobs are lint-clean.
-    cfg.adaptive = bonsai_runtime::AdaptiveConfig::default();
-    assert!(cfg.validate_for_cores(8).is_empty());
-    // A fixed-scheduler config never trips adaptive lints, whatever
-    // its (unused) adaptive knobs say.
-    cfg.scheduler = bonsai_runtime::PassScheduler::Fixed;
-    cfg.adaptive.reprogram_cost_us = 0;
-    assert!(cfg.validate_for_cores(8).is_empty());
-}
-
 #[test]
 fn default_runtime_config_is_shape_clean_on_any_host() {
     for cores in [1, 2, 8, 64] {

@@ -85,7 +85,15 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    config.engine = SimEngineConfig::dram_sorter(AmtConfig::new(amt_p, amt_l), 4);
+    let amt = AmtConfig::try_new(amt_p, amt_l).map_err(|diagnostics| {
+        let errors: Vec<String> = diagnostics
+            .iter()
+            .filter(|d| d.is_error())
+            .map(ToString::to_string)
+            .collect();
+        errors.join("; ")
+    })?;
+    config.engine = SimEngineConfig::dram_sorter(amt, 4);
     Ok(Args { addr, config })
 }
 

@@ -9,16 +9,16 @@
 //! shape the job was submitted with:
 //!
 //! - **latency class** (small jobs): the latency-optimal design of
-//!   Equation 2, deadline-aware when
-//!   [`AdaptiveConfig::latency_deadline_us`] is set;
+//!   Equation 2;
 //! - **throughput class** (large jobs): the throughput-optimal design
 //!   of Equation 5.
 //!
 //! Both go through one [`ReconfigPlanner`] per memory backend — one
 //! modeled FPGA — so a shape switch is only taken when it beats keeping
-//! the loaded design *plus* the reprogram cost
-//! ([`AdaptiveConfig::reprogram_cost_us`]), which is what keeps an
-//! alternating job mix from thrashing shapes (`BON080`).
+//! the loaded design *plus* the reprogram cost, which is what keeps an
+//! alternating job mix from thrashing shapes. The scheduler runs on
+//! fixed constants (cache size, small-job cutoff, reprogram cost,
+//! fairness stride), pinned by `const` assertions below.
 //!
 //! The model picks the shape; [`ShapeCache`] makes it cheap to realize:
 //! repeated shapes skip the full cross-config validation and plan
@@ -38,48 +38,52 @@ use bonsai_model::{ArrayParams, HardwareParams};
 use crate::class_queue::JobClass;
 
 /// Job classes the adaptive scheduler selects shapes for (the two
-/// [`JobClass`] lanes); the `BON082` cache-sizing lint compares the
-/// shape-cache capacity against this.
-pub(crate) const SHAPE_CLASSES: usize = 2;
+/// [`JobClass`] lanes).
+const SHAPE_CLASSES: usize = 2;
 
-/// Knobs of the adaptive scheduler
-/// ([`RuntimeConfig::adaptive`](crate::RuntimeConfig::adaptive)).
-/// Shape-checked by `bonsai_check::check_adaptive_runtime`
-/// (`BON080`–`BON083`); the defaults are lint-clean.
+/// Capacity of the compiled-shape cache (distinct validated
+/// [`SimEngineConfig`]s held; LRU beyond that). Below the two job
+/// classes' shapes, the classes would evict each other.
+const CACHE_SHAPES: usize = 8;
+
+/// Jobs with at most this many records are latency class; larger jobs
+/// are throughput class.
+pub(crate) const SMALL_JOB_RECORDS: usize = 4096;
+
+/// Modeled cost of switching the loaded AMT shape, in microseconds.
+/// The planner keeps the current shape unless the optimum wins by more
+/// than this; without it, an alternating job mix would thrash shapes.
+const REPROGRAM_COST_US: u64 = 200;
+
+/// How many consecutive latency-lane jobs may overtake a waiting
+/// throughput-class job before one is dispatched anyway.
+pub(crate) const FAIRNESS_STRIDE: u32 = 4;
+
+const _: () = assert!(REPROGRAM_COST_US > 0, "a free reprogram thrashes shapes");
+const _: () = assert!(
+    CACHE_SHAPES >= SHAPE_CLASSES,
+    "the job classes would evict each other's shapes"
+);
+const _: () = assert!(
+    FAIRNESS_STRIDE >= 1,
+    "latency jobs would starve the throughput lane"
+);
+
+/// The adaptive scheduler's reprogram cost, kept for source
+/// compatibility; the scheduler itself runs on private constants.
+#[doc(hidden)]
+#[deprecated(note = "the adaptive scheduler has no knobs")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveConfig {
-    /// Capacity of the compiled-shape cache (distinct validated
-    /// [`SimEngineConfig`]s held; LRU beyond that). Below the two job
-    /// classes' shapes, the classes evict each other (`BON082`).
-    pub cache_shapes: usize,
-    /// Jobs with at most this many records are latency class; larger
-    /// jobs are throughput class.
-    pub small_job_records: usize,
     /// Modeled cost of switching the loaded AMT shape, in microseconds.
-    /// The planner keeps the current shape unless the optimum wins by
-    /// more than this; `0` disables the comparison and thrashes
-    /// (`BON080`).
     pub reprogram_cost_us: u64,
-    /// Per-job deadline for latency-class jobs in microseconds
-    /// (`0` = none). When set, a keep decision that would miss the
-    /// deadline is overridden if the optimal shape meets it. Must
-    /// exceed `reprogram_cost_us` to be satisfiable across a shape
-    /// switch (`BON081`).
-    pub latency_deadline_us: u64,
-    /// How many consecutive latency-lane jobs may overtake a waiting
-    /// throughput-class job before one is dispatched anyway
-    /// (`0` = pure priority, which can starve large jobs — `BON083`).
-    pub fairness_stride: u32,
 }
 
+#[allow(deprecated)]
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         Self {
-            cache_shapes: 8,
-            small_job_records: 4096,
-            reprogram_cost_us: 200,
-            latency_deadline_us: 0,
-            fairness_stride: 4,
+            reprogram_cost_us: REPROGRAM_COST_US,
         }
     }
 }
@@ -110,8 +114,6 @@ pub struct AdaptiveStats {
 pub(crate) struct AdaptiveState {
     cache: ShapeCache,
     planners: HashMap<MemoryConfig, ReconfigPlanner>,
-    reprogram_seconds: f64,
-    deadline_seconds: Option<f64>,
     latency_jobs: u64,
     throughput_jobs: u64,
 }
@@ -126,13 +128,10 @@ pub(crate) struct Selection {
 }
 
 impl AdaptiveState {
-    pub(crate) fn new(config: &AdaptiveConfig) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
-            cache: ShapeCache::new(config.cache_shapes),
+            cache: ShapeCache::new(CACHE_SHAPES),
             planners: HashMap::new(),
-            reprogram_seconds: config.reprogram_cost_us as f64 * 1e-6,
-            deadline_seconds: (config.latency_deadline_us > 0)
-                .then_some(config.latency_deadline_us as f64 * 1e-6),
             latency_jobs: 0,
             throughput_jobs: 0,
         }
@@ -208,13 +207,11 @@ impl AdaptiveState {
         // thrashing the planner with off-by-a-few variants.
         let bucket = (records as u64).next_power_of_two();
         let array = ArrayParams::new(bucket, record_bytes);
-        let reprogram_seconds = self.reprogram_seconds;
-        let planner = self
-            .planners
-            .entry(base.memory)
-            .or_insert_with(|| ReconfigPlanner::new(hardware_for(&base.memory), reprogram_seconds));
+        let planner = self.planners.entry(base.memory).or_insert_with(|| {
+            ReconfigPlanner::new(hardware_for(&base.memory), REPROGRAM_COST_US as f64 * 1e-6)
+        });
         let plan = match class {
-            JobClass::Latency => planner.plan_job_with_deadline(&array, self.deadline_seconds),
+            JobClass::Latency => planner.plan_job(&array),
             JobClass::Throughput => planner.plan_throughput_job(&array),
         }
         .ok()?;
@@ -266,21 +263,8 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_lint_clean() {
-        let d = AdaptiveConfig::default();
-        assert!(bonsai_check::check_adaptive_runtime(
-            d.cache_shapes,
-            SHAPE_CLASSES,
-            d.reprogram_cost_us,
-            d.latency_deadline_us,
-            d.fairness_stride,
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn repeated_jobs_hit_the_cache_after_one_miss() {
-        let mut state = AdaptiveState::new(&AdaptiveConfig::default());
+        let mut state = AdaptiveState::new();
         let base = dram(4, 16);
         let first = state.select(&base, 50_000, JobClass::Throughput).unwrap();
         assert!(!first.cache_hit);
@@ -297,7 +281,7 @@ mod tests {
 
     #[test]
     fn small_jobs_get_shapes_no_wider_than_their_runs() {
-        let mut state = AdaptiveState::new(&AdaptiveConfig::default());
+        let mut state = AdaptiveState::new();
         let base = dram(4, 16);
         // 64 records in 16-record presorted runs: 4 runs. ℓ must not
         // exceed the next power of two (4); p must not exceed ℓ.
@@ -310,7 +294,7 @@ mod tests {
 
     #[test]
     fn invalid_base_config_reports_its_own_diagnostics() {
-        let mut state = AdaptiveState::new(&AdaptiveConfig::default());
+        let mut state = AdaptiveState::new();
         let mut bad = dram(4, 16);
         bad.loader.record_bytes = 0;
         let errs = state
@@ -321,7 +305,7 @@ mod tests {
 
     #[test]
     fn degenerate_sizes_fall_back_to_the_submitted_shape() {
-        let mut state = AdaptiveState::new(&AdaptiveConfig::default());
+        let mut state = AdaptiveState::new();
         let base = dram(4, 16);
         for records in [0, 1] {
             let sel = state.select(&base, records, JobClass::Latency).unwrap();
@@ -334,7 +318,7 @@ mod tests {
         let hbm = hardware_for(&MemoryConfig::hbm_u50());
         let ddr = hardware_for(&MemoryConfig::ddr4_aws_f1());
         assert!(hbm.beta_dram > ddr.beta_dram);
-        let mut state = AdaptiveState::new(&AdaptiveConfig::default());
+        let mut state = AdaptiveState::new();
         let base_ddr = dram(4, 16);
         let mut base_hbm = base_ddr;
         base_hbm.memory = MemoryConfig::hbm_u50();

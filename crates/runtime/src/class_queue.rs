@@ -9,11 +9,10 @@
 //! position of large throughput-class jobs without preempting one
 //! already running.
 //!
-//! Pure priority starves the throughput lane under a steady latency
-//! stream (`BON083`), so a *fairness stride* bounds the bypass: after
+//! Pure priority would starve the throughput lane under a steady
+//! latency stream, so a *fairness stride* bounds the bypass: after
 //! `stride` consecutive latency-lane pops while the throughput lane
-//! waits, one throughput job is dispatched regardless. A `stride` of 0
-//! keeps pure priority.
+//! waits, one throughput job is dispatched regardless.
 //!
 //! Items name their own lane via [`Classed`]. When every item reports
 //! [`JobClass::Latency`] — what the runtime's fixed scheduler does —
@@ -93,9 +92,8 @@ impl<T: Send + Classed, S: SyncOps> std::fmt::Debug for ClassQueue<T, S> {
 
 impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
     /// Creates a queue holding at most `capacity ≥ 1` items across both
-    /// lanes. `fairness_stride` bounds how many consecutive latency
-    /// pops may bypass a waiting throughput job (0 = pure priority,
-    /// flagged by `BON083`).
+    /// lanes. `fairness_stride ≥ 1` bounds how many consecutive latency
+    /// pops may bypass a waiting throughput job.
     #[must_use]
     pub fn new(capacity: usize, fairness_stride: u32) -> Self {
         Self {
@@ -109,7 +107,7 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
                 },
             ),
             capacity: capacity.max(1),
-            fairness_stride,
+            fairness_stride: fairness_stride.max(1),
             not_full: S::condvar_named("class_queue.not_full"),
             not_empty: S::condvar_named("class_queue.not_empty"),
         }
@@ -160,8 +158,7 @@ impl<T: Send + Classed, S: SyncOps> ClassQueue<T, S> {
             s.len() == 0 && !s.closed
         });
         let yield_to_throughput = !guard.throughput.is_empty()
-            && (guard.latency.is_empty()
-                || (self.fairness_stride > 0 && guard.latency_streak >= self.fairness_stride));
+            && (guard.latency.is_empty() || guard.latency_streak >= self.fairness_stride);
         let item = if yield_to_throughput {
             guard.latency_streak = 0;
             guard.throughput.pop_front()
@@ -253,18 +250,6 @@ mod tests {
         q.close();
         let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|i| i.0).collect();
         assert_eq!(order, vec![0, 1, 100, 2, 3, 101, 4, 5]);
-    }
-
-    #[test]
-    fn zero_stride_is_pure_priority() {
-        let q = ClassQueue::<Item>::new(16, 0);
-        q.push(thr(100)).unwrap();
-        for i in 0..5 {
-            q.push(lat(i)).unwrap();
-        }
-        q.close();
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|i| i.0).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4, 100]);
     }
 
     #[test]

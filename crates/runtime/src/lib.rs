@@ -72,7 +72,9 @@ use bonsai_amt::{SimEngine, SimEngineConfig, SortError, SortReport};
 use bonsai_check::Diagnostic;
 use bonsai_records::Record;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveStats};
+#[allow(deprecated)]
+pub use adaptive::AdaptiveConfig;
+pub use adaptive::AdaptiveStats;
 pub use bonsai_mc::facade::{StdSync, SyncOps};
 pub use class_queue::{ClassQueue, Classed, JobClass, PushError};
 pub use pool::WorkerPool;
@@ -95,8 +97,7 @@ pub enum PassScheduler {
     /// throughput-optimal for the throughput class — with shape
     /// switches charged through the reconfiguration planner and
     /// validated shapes served from a bounded compiled-shape cache
-    /// ([`bonsai_amt::ShapeCache`]). Knobs live in [`AdaptiveConfig`];
-    /// shape checks are `BON080`–`BON083`.
+    /// ([`bonsai_amt::ShapeCache`]).
     Adaptive,
 }
 
@@ -133,22 +134,11 @@ pub struct RuntimeConfig {
     /// Per-pass livelock cycle bound handed to the engine; `None` keeps
     /// the engine default.
     pub max_pass_cycles: Option<u64>,
-    /// Simulation loop selection for every job: `Some(true)` forces the
-    /// reference per-cycle loop, `Some(false)` the event-driven fast
-    /// path, `None` keeps the engine default (fast path unless
-    /// [`bonsai_amt::REFERENCE_LOOP_ENV`] is set to `1`). Both loops
-    /// produce bit-identical reports.
-    pub reference_loop: Option<bool>,
     /// How many threads will call [`Runtime::submit`] concurrently.
     /// Purely declarative — used by the BON05x shape lints to judge the
     /// queue depth; the runtime itself accepts any number of
     /// submitters.
     pub producers: usize,
-    /// Knobs of the adaptive scheduler (shape cache size, small-job
-    /// cutoff, reprogram cost, deadline, fairness stride). Only
-    /// consulted when [`RuntimeConfig::scheduler`] is
-    /// [`PassScheduler::Adaptive`].
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for RuntimeConfig {
@@ -159,9 +149,7 @@ impl Default for RuntimeConfig {
             pass_workers: 1,
             scheduler: scheduler_from_env(),
             max_pass_cycles: None,
-            reference_loop: None,
             producers: 1,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -201,15 +189,6 @@ impl RuntimeConfig {
                     max_groups,
                 ));
             }
-        }
-        if self.scheduler == PassScheduler::Adaptive {
-            diagnostics.extend(bonsai_check::check_adaptive_runtime(
-                self.adaptive.cache_shapes,
-                adaptive::SHAPE_CLASSES,
-                self.adaptive.reprogram_cost_us,
-                self.adaptive.latency_deadline_us,
-                self.adaptive.fairness_stride,
-            ));
         }
         diagnostics
     }
@@ -407,9 +386,6 @@ fn run_job<R: Record>(
                 Some(bound) => engine.with_max_pass_cycles(bound),
                 None => engine,
             };
-            if let Some(reference) = config.reference_loop {
-                engine = engine.with_reference_loop(reference);
-            }
             engine
                 .try_sort_sharded(job.data, config.pass_workers)
                 .map(|(sorted, mut report)| {
@@ -473,7 +449,7 @@ impl<R: Record> Runtime<R> {
             config.workers
         };
         let adaptive = (config.scheduler == PassScheduler::Adaptive)
-            .then(|| Arc::new(Mutex::new(AdaptiveState::new(&config.adaptive))));
+            .then(|| Arc::new(Mutex::new(AdaptiveState::new())));
         let worker_adaptive = adaptive.clone();
         let runner = move |dispatch: Dispatch<R>| {
             let Dispatch {
@@ -507,7 +483,7 @@ impl<R: Record> Runtime<R> {
                 None => Some(result),
             }
         };
-        let queue = ClassQueue::new(config.queue_depth, config.adaptive.fairness_stride);
+        let queue = ClassQueue::new(config.queue_depth, adaptive::FAIRNESS_STRIDE);
         let pool = WorkerPool::start(workers, queue, runner);
         Self {
             config,
@@ -534,13 +510,13 @@ impl<R: Record> Runtime<R> {
     }
 
     /// The scheduling class the runtime assigns a `records`-record job:
-    /// latency for small jobs under the adaptive scheduler's cutoff
-    /// ([`AdaptiveConfig::small_job_records`]); everything is latency
-    /// class (exact FIFO) outside the adaptive scheduler.
+    /// latency for jobs of at most 4096 records under the adaptive
+    /// scheduler, throughput above that; everything is latency class
+    /// (exact FIFO) outside the adaptive scheduler.
     #[must_use]
     pub fn classify(&self, records: usize) -> JobClass {
         match self.config.scheduler {
-            PassScheduler::Adaptive if records > self.config.adaptive.small_job_records => {
+            PassScheduler::Adaptive if records > adaptive::SMALL_JOB_RECORDS => {
                 JobClass::Throughput
             }
             _ => JobClass::Latency,
@@ -728,22 +704,22 @@ mod tests {
             r
         }
         let data = uniform_u32(15_000, 12);
-        let run = |reference: bool| {
-            let runtime = Runtime::start(RuntimeConfig {
-                workers: 2,
-                reference_loop: Some(reference),
-                ..RuntimeConfig::default()
-            });
-            runtime
-                .submit(SortJob::new(0, dram_cfg(), data.clone()))
-                .expect("runtime open");
-            runtime.finish().remove(0).result.expect("sorts")
-        };
-        let fast = run(false);
-        let reference = run(true);
-        assert_eq!(fast.sorted, reference.sorted);
-        assert_eq!(reference.report.fast_forwarded_cycles, 0);
-        assert_eq!(normalized(fast.report), normalized(reference.report));
+        let runtime = Runtime::start(RuntimeConfig {
+            workers: 2,
+            scheduler: PassScheduler::Fixed,
+            ..RuntimeConfig::default()
+        });
+        runtime
+            .submit(SortJob::new(0, dram_cfg(), data.clone()))
+            .expect("runtime open");
+        let fast = runtime.finish().remove(0).result.expect("sorts");
+        let (sorted, report) = SimEngine::new(dram_cfg())
+            .with_reference_loop(true)
+            .try_sort_sharded(data, 1)
+            .expect("sorts");
+        assert_eq!(fast.sorted, sorted);
+        assert_eq!(report.fast_forwarded_cycles, 0);
+        assert_eq!(normalized(fast.report), normalized(report));
     }
 
     #[test]

@@ -32,7 +32,10 @@ fn no_cache_counters(mut r: SortReport) -> SortReport {
 
 #[test]
 fn adaptive_sorts_correctly_and_cuts_passes_for_latency_jobs() {
-    let data = uniform_u32(50_000, 5);
+    // At the 4096-record latency cutoff: the latency-optimal design is
+    // the wide tree (fewer merge passes); the throughput-optimal one
+    // trades tree width for fabric copies and keeps the pass count.
+    let data = uniform_u32(4096, 5);
     let fixed = {
         let runtime = Runtime::start(RuntimeConfig {
             workers: 1,
@@ -45,19 +48,15 @@ fn adaptive_sorts_correctly_and_cuts_passes_for_latency_jobs() {
         runtime.finish().remove(0).result.expect("sorts")
     };
     let adaptive = {
-        // Classify the job latency-bound: the latency-optimal design is
-        // the wide tree (fewer merge passes); the throughput-optimal one
-        // trades tree width for fabric copies and keeps the pass count.
-        let mut config = adaptive_config(1);
-        config.adaptive.small_job_records = 100_000;
-        let runtime = Runtime::start(config);
+        let runtime = Runtime::start(adaptive_config(1));
+        assert_eq!(runtime.classify(data.len()), JobClass::Latency);
         runtime
             .submit(SortJob::new(0, dram_cfg(), data.clone()))
             .expect("open");
         runtime.finish().remove(0).result.expect("sorts")
     };
     assert_eq!(fixed.sorted, adaptive.sorted, "same sorted output");
-    // 50 000 records in 16-record runs is 3125 runs: AMT(4,16) needs 3
+    // 4096 records in 16-record runs is 256 runs: AMT(4,16) needs 2
     // merge passes, the optimizer's wide tree strictly fewer.
     assert!(
         adaptive.report.passes.len() < fixed.report.passes.len(),
@@ -94,9 +93,7 @@ fn cache_counters_ride_the_reports_and_aggregate_on_stats() {
 
 #[test]
 fn adaptive_stats_snapshot_counts_lanes_hits_and_reprograms() {
-    let mut config = adaptive_config(1);
-    config.adaptive.small_job_records = 1_000;
-    let runtime = Runtime::start(config);
+    let runtime = Runtime::start(adaptive_config(1));
     let small = uniform_u32(500, 2);
     let big = uniform_u32(20_000, 3);
     assert_eq!(runtime.classify(small.len()), JobClass::Latency);
@@ -122,6 +119,14 @@ fn adaptive_stats_snapshot_counts_lanes_hits_and_reprograms() {
     assert!(stats.reprograms >= 1, "first plan programs the device");
     let results = runtime.finish();
     assert!(results.iter().all(|r| r.result.is_ok()));
+}
+
+#[test]
+fn the_latency_cutoff_is_4096_records() {
+    let runtime = Runtime::<U32Rec>::start(adaptive_config(1));
+    assert_eq!(runtime.classify(4096), JobClass::Latency);
+    assert_eq!(runtime.classify(4097), JobClass::Throughput);
+    let _ = runtime.finish();
 }
 
 #[test]
@@ -214,12 +219,11 @@ impl Record for GateRec {
 #[test]
 fn latency_jobs_overtake_queued_throughput_jobs() {
     let mut config = adaptive_config(1);
-    config.adaptive.small_job_records = 1_000;
     config.queue_depth = 8;
     let runtime = Runtime::start(config);
     let (tx, rx) = std::sync::mpsc::channel();
     let gated: Vec<GateRec> = (0..64u32).map(|i| GateRec(i | 1)).collect();
-    let big: Vec<GateRec> = (0..2_000u32)
+    let big: Vec<GateRec> = (0..5_000u32)
         .map(|i| GateRec(i.wrapping_mul(7) | 1))
         .collect();
     let small: Vec<GateRec> = (0..100u32)
@@ -227,6 +231,8 @@ fn latency_jobs_overtake_queued_throughput_jobs() {
         .collect();
     // Job 0 pins the worker at its first comparison; 1 (throughput
     // class) and 2 (latency class) queue behind it in that order.
+    assert_eq!(runtime.classify(big.len()), JobClass::Throughput);
+    assert_eq!(runtime.classify(small.len()), JobClass::Latency);
     runtime
         .submit_with_reply(SortJob::new(0, dram_cfg(), gated), tx.clone())
         .expect("open");
