@@ -19,8 +19,8 @@
 //!   loader, producing sorted output plus cycle-exact timing
 //!   ([`SortReport`]),
 //! - [`functional`]: a fast, functionally identical execution path
-//!   (loser-tree `ℓ`-way merges) for data sizes where cycle simulation
-//!   is unnecessary.
+//!   (`ℓ`-way merges on a balanced tree of 2-way mergers) for data
+//!   sizes where cycle simulation is unnecessary.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@ mod engine;
 mod error;
 pub mod functional;
 pub mod graph;
-mod loser_tree;
 pub mod passsim;
 pub mod prove;
 mod report;
@@ -58,7 +57,6 @@ pub use cache::{CompiledShape, ShapeCache};
 pub use config::{AmtConfig, SimEngineConfig};
 pub use engine::{SimEngine, REFERENCE_LOOP_ENV};
 pub use error::SortError;
-pub use loser_tree::{loser_tree_merge, LoserTree};
 pub use report::{PassReport, SortReport};
 pub use shard::VIRTUAL_WORKERS;
 pub use tree::{MergeTree, TreeStats};

@@ -1,31 +1,56 @@
-//! Randomized cross-validation inside the AMT crate: the cycle engine,
-//! the functional schedule, the loser tree and the heap merge are
-//! interchangeable.
+//! Randomized cross-validation inside the AMT crate: the cycle engine
+//! and the functional schedule agree, and the functional 2-way merge
+//! tree is a plain sorted merge.
 
-use bonsai_amt::{functional, loser_tree_merge, AmtConfig, SimEngine, SimEngineConfig};
+use bonsai_amt::{functional, AmtConfig, SimEngine, SimEngineConfig};
 use bonsai_records::U32Rec;
 use bonsai_rng::Rng;
 
-/// `0..max_runs` random runs of `0..max_len` records each, sorted.
-fn sorted_runs(rng: &mut Rng, max_runs: usize, max_len: usize) -> Vec<Vec<U32Rec>> {
-    let n_runs = rng.below_usize(max_runs);
-    (0..n_runs)
+/// `runs` sorted runs of `0..=max_len` raw values each, every value drawn
+/// by `value` (so terminal zeros and heavy duplicates are kept).
+fn sorted_runs(
+    rng: &mut Rng,
+    runs: usize,
+    max_len: usize,
+    value: impl Fn(&mut Rng) -> u32,
+) -> Vec<Vec<U32Rec>> {
+    (0..runs)
         .map(|_| {
-            let len = rng.below_usize(max_len);
-            let mut v: Vec<u32> = (0..len).map(|_| rng.next_u32().max(1)).collect();
+            let len = rng.below_usize(max_len + 1);
+            let mut v: Vec<U32Rec> = (0..len).map(|_| U32Rec::new(value(rng))).collect();
             v.sort_unstable();
-            v.into_iter().map(U32Rec::new).collect()
+            v
         })
         .collect()
 }
 
 #[test]
-fn loser_tree_equals_heap_merge() {
+fn kway_merge_equals_sorted_concatenation() {
     let mut rng = Rng::seed_from_u64(0xA370_0001);
-    for _ in 0..48 {
-        let runs = sorted_runs(&mut rng, 12, 80);
+    // Non-power-of-two counts and counts above 256 next to random ones;
+    // lengths up to a few 256-record node blocks, so blocks refill and
+    // siblings run dry at different times.
+    let counts = [0, 1, 2, 3, 5, 7, 64, 255, 256, 257, 300];
+    for case in 0..40 {
+        let runs = counts
+            .get(case)
+            .copied()
+            .unwrap_or_else(|| rng.below_usize(301));
+        let max_len = [0, 3, 40, 1_100][case % 4];
+        let runs = match case % 3 {
+            0 => sorted_runs(&mut rng, runs, max_len, Rng::next_u32),
+            1 => sorted_runs(&mut rng, runs, max_len, |r| r.next_u32() % 4),
+            _ => sorted_runs(&mut rng, runs, max_len, |r| r.next_u32() % 300 * 1000),
+        };
         let slices: Vec<&[U32Rec]> = runs.iter().map(Vec::as_slice).collect();
-        assert_eq!(loser_tree_merge(&slices), functional::kway_merge(&slices));
+        let mut expected = runs.concat();
+        expected.sort_unstable();
+        assert_eq!(
+            functional::kway_merge(&slices),
+            expected,
+            "case {case}: {} runs up to {max_len} records",
+            runs.len()
+        );
     }
 }
 

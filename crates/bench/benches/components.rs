@@ -1,7 +1,6 @@
 //! Micro-benchmarks of the hardware component models.
 
 use bonsai_amt::functional::kway_merge;
-use bonsai_amt::loser_tree_merge;
 use bonsai_bench::harness::{bench, header, Throughput};
 use bonsai_bitonic::{sorter_network, HalfMerger, Presorter};
 use bonsai_gensort::dist::uniform_u32;
@@ -109,11 +108,8 @@ fn bench_kway_merge() {
             .collect();
         let slices: Vec<&[U32Rec]> = runs.iter().map(Vec::as_slice).collect();
         let elems = Throughput::Elements((fan_in * 4096) as u64);
-        bench("kway_merge", &format!("heap/{fan_in}"), elems, || {
+        bench("kway_merge", &format!("tree/{fan_in}"), elems, || {
             kway_merge(black_box(&slices))
-        });
-        bench("kway_merge", &format!("loser_tree/{fan_in}"), elems, || {
-            loser_tree_merge(black_box(&slices))
         });
     }
 }
